@@ -14,10 +14,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from ddfa import (
+    AutomatonDocument,
     build_fr_ddfao,
     build_tm_ddfa,
     build_tm_dfao,
-    document_for,
     serialize_document,
     serialize_spec_document,
 )
@@ -96,12 +96,12 @@ def main() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
 
     documents = {
-        "tm_ddfa.json": document_for(build_tm_ddfa()),
-        "fr_ddfao.json": document_for(
+        "tm_ddfa.json": AutomatonDocument(build_tm_ddfa()),
+        "fr_ddfao.json": AutomatonDocument(
             build_fr_ddfao(),
             valuation={q: Fraction(1) for q in ("q0", "q1", "q2", "q3")},
         ),
-        "tm_dfao.json": document_for(build_tm_dfao()),
+        "tm_dfao.json": AutomatonDocument(build_tm_dfao()),
     }
     for name, doc in documents.items():
         (CORPUS / name).write_text(serialize_document(doc), encoding="utf-8")

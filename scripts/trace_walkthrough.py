@@ -15,15 +15,13 @@ from ddfa import (
     charge_trajectory,
     d_shape_closed_form,
     final_charge_sequence,
-    underlying,
 )
 
 
 def show_trace(title: str, auto, word: str) -> None:
-    base = underlying(auto)
     print(f"== {title}: word {word!r}")
-    for i, (state, vector) in enumerate(charge_trajectory(auto, base.start, word)):
-        charges = "  ".join(f"{q}={vector[q]}" for q in base.states)
+    for i, (state, vector) in enumerate(charge_trajectory(auto, auto.start, word)):
+        charges = "  ".join(f"{q}={vector[q]}" for q in auto.states)
         label = "start" if i == 0 else f"after {word[i - 1]}"
         print(f"  {label:>8}  at {state}  [{charges}]")
     print()

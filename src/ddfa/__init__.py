@@ -1,15 +1,15 @@
 """Exact-arithmetic toolkit for charge-discharging finite automata.
 
-Plain DFA/DFAO machinery lives in ``automata``; the charge extension and
-its reduced forms in ``discharge``; derived number sequences and their
+The one ``Automaton`` type (a DFA, optionally with an output map and
+discharge rules) lives in ``automata``; charge runs, their reduced forms
+and run records in ``discharge``; derived number sequences and their
 closed forms in ``sequences``; menu-based relation verification, search,
 and kernel evidence in ``regularity``; the JSON file format in
 ``documents``; and the command line in ``cli``.
 """
 
 from .automata import (
-    Dfa,
-    Dfao,
+    Automaton,
     ValidationReport,
     base_k_word,
     build_tm_dfa,
@@ -22,10 +22,9 @@ from .automata import (
 )
 from .discharge import (
     ChargeResult,
-    Ddfa,
-    Ddfao,
     DischargeRuleSet,
     ReducedResult,
+    RunRecord,
     build_fr_ddfao,
     build_tm_ddfa,
     charge_step,
@@ -35,16 +34,14 @@ from .discharge import (
     equal_split_rules,
     reduced_delta_c,
     reduced_output,
-    underlying,
+    run_record,
     unit_charge,
     validate_rules,
 )
-from .cli import RunRecord, run_record
 from .documents import (
     AutomatonDocument,
     DocumentError,
     corpus_path,
-    document_for,
     parse_document,
     parse_spec_document,
     serialize_document,
@@ -79,7 +76,6 @@ from .sequences import (
     b_file_text,
     builtin_sequence,
     d_shape_closed_form,
-    e_relation_check,
     e_sequence,
     final_charge_sequence,
     modified_b_sequence,

@@ -1,4 +1,5 @@
-"""Classical finite automata: representation, validation, runs, DOT export.
+"""Finite automata, plain or with outputs and discharge rules: representation,
+validation, runs, DOT export.
 
 States are referred to by name; the position of a name in ``states`` fixes
 its index, and that ordering is authoritative everywhere (charge vectors,
@@ -8,9 +9,12 @@ so bases above 10 stay representable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from .discharge import DischargeRuleSet
 
 Word = tuple[str, ...]
 
@@ -38,38 +42,34 @@ class ValidationReport:
 
 
 @dataclass(frozen=True)
-class Dfa:
-    """Deterministic finite automaton (states, alphabet, transition, start, accepting)."""
+class Automaton:
+    """Finite automaton (states, alphabet, transition, start, accepting).
+
+    An ``output`` map from states to rationals makes it a DFAO, which has
+    no accepting set; discharge ``rules`` make it a discharging automaton.
+    """
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     transition: Mapping[tuple[str, str], str]
     start: str
-    accepting: frozenset[str]
+    accepting: frozenset[str] = frozenset()
+    output: Mapping[str, Fraction] | None = None
+    rules: DischargeRuleSet | None = None
 
-    def state_index(self, name: str) -> int:
-        return self.states.index(name)
-
-
-@dataclass(frozen=True)
-class Dfao:
-    """Deterministic finite automaton with output map instead of accepting set."""
-
-    states: tuple[str, ...]
-    alphabet: tuple[str, ...]
-    transition: Mapping[tuple[str, str], str]
-    start: str
-    output_alphabet: tuple[Fraction, ...]
-    output: Mapping[str, Fraction]
-
-    def state_index(self, name: str) -> int:
-        return self.states.index(name)
+    @property
+    def kind(self) -> str:
+        """One of "dfa", "dfao", "ddfa", "ddfao"."""
+        kind = "dfa" if self.rules is None else "ddfa"
+        return kind if self.output is None else kind + "o"
 
 
-def validate_dfa(auto: Dfa | Dfao) -> ValidationReport:
-    """Check structural invariants; every violation is reported, nothing raises."""
-    kind = "dfao" if isinstance(auto, Dfao) else "dfa"
-    report = ValidationReport(kind)
+def validate_dfa(auto: Automaton) -> ValidationReport:
+    """Check structural invariants; every violation is reported, nothing raises.
+
+    Discharge rules are checked separately by ``discharge.validate_rules``.
+    """
+    report = ValidationReport("dfa" if auto.output is None else "dfao")
     if not auto.states:
         report.add("no states")
     if len(set(auto.states)) != len(auto.states):
@@ -95,23 +95,20 @@ def validate_dfa(auto: Dfa | Dfao) -> ValidationReport:
             report.add(f"transition on unknown symbol {s!r} from {q}")
         if target not in states:
             report.add(f"transition delta({q}, {s}) targets unknown state {target!r}")
-    if isinstance(auto, Dfao):
+    if auto.output is not None:
         for q in auto.states:
             if q not in auto.output:
                 report.add(f"missing output value for state {q}")
-        for q, value in auto.output.items():
+        for q in auto.output:
             if q not in states:
                 report.add(f"output value for unknown state {q!r}")
-            elif value not in auto.output_alphabet:
-                report.add(f"output {value} of state {q} not in output alphabet")
-    else:
-        for q in auto.accepting:
-            if q not in states:
-                report.add(f"accepting state {q!r} not in state list")
+    for q in auto.accepting:
+        if q not in states:
+            report.add(f"accepting state {q!r} not in state list")
     return report
 
 
-def delta_star(auto: Dfa | Dfao, q: str, word: Iterable[str]) -> str:
+def delta_star(auto: Automaton, q: str, word: Iterable[str]) -> str:
     """Fold the transition function over ``word`` starting from ``q``.
 
     The empty word returns ``q`` unchanged. Symbols are consumed left to
@@ -126,7 +123,7 @@ def delta_star(auto: Dfa | Dfao, q: str, word: Iterable[str]) -> str:
     return q
 
 
-def dfao_output(auto: Dfao, word: Iterable[str]) -> Fraction:
+def dfao_output(auto: Automaton, word: Iterable[str]) -> Fraction:
     """Run ``word`` from the start state and apply the output map to the final state."""
     return auto.output[delta_star(auto, auto.start, word)]
 
@@ -164,15 +161,7 @@ def parse_word(alphabet: tuple[str, ...], text: str) -> Word:
     return tuple(tok for tok in text.replace(",", " ").split() if tok)
 
 
-def _unwrap(auto):
-    """Return (plain automaton, discharge rules or None) for any automaton kind."""
-    rules = getattr(auto, "rules", None)
-    if rules is not None:
-        return getattr(auto, "dfa", None) or getattr(auto, "dfao"), rules
-    return auto, None
-
-
-def to_dot(auto) -> str:
+def to_dot(auto: Automaton) -> str:
     """Render any automaton kind as a Graphviz digraph.
 
     Accepting states are double-circled, the start state gets an arrow from
@@ -180,27 +169,25 @@ def to_dot(auto) -> str:
     with its current-symbol weight as "s: p/q". Node and edge order follow
     (state index, symbol index), so output is byte-stable.
     """
-    base, rules = _unwrap(auto)
     lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=point, label=""];']
-    accepting = base.accepting if isinstance(base, Dfa) else frozenset()
-    for q in base.states:
-        shape = "doublecircle" if q in accepting else "circle"
-        if isinstance(base, Dfao):
-            lines.append(f'  "{q}" [shape={shape}, label="{q}/{base.output[q]}"];')
+    for q in auto.states:
+        shape = "doublecircle" if q in auto.accepting else "circle"
+        if auto.output is not None:
+            lines.append(f'  "{q}" [shape={shape}, label="{q}/{auto.output[q]}"];')
         else:
             lines.append(f'  "{q}" [shape={shape}];')
-    lines.append(f'  __start -> "{base.start}";')
-    for q in base.states:
-        for s in base.alphabet:
-            label = s if rules is None else f"{s}: {rules.current[(q, s)]}"
-            lines.append(f'  "{q}" -> "{base.transition[(q, s)]}" [label="{label}"];')
+    lines.append(f'  __start -> "{auto.start}";')
+    for q in auto.states:
+        for s in auto.alphabet:
+            label = s if auto.rules is None else f"{s}: {auto.rules.current[(q, s)]}"
+            lines.append(f'  "{q}" -> "{auto.transition[(q, s)]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def build_tm_dfa() -> Dfa:
+def build_tm_dfa() -> Automaton:
     """Two-state binary parity automaton: tracks the parity of 1-digits read."""
-    return Dfa(
+    return Automaton(
         states=("q0", "q1"),
         alphabet=("0", "1"),
         transition={
@@ -214,14 +201,10 @@ def build_tm_dfa() -> Dfa:
     )
 
 
-def build_tm_dfao() -> Dfao:
+def build_tm_dfao() -> Automaton:
     """Parity automaton with outputs 0/1 equal to the state labels."""
-    base = build_tm_dfa()
-    return Dfao(
-        states=base.states,
-        alphabet=base.alphabet,
-        transition=base.transition,
-        start=base.start,
-        output_alphabet=(Fraction(0), Fraction(1)),
+    return replace(
+        build_tm_dfa(),
+        accepting=frozenset(),
         output={"q0": Fraction(0), "q1": Fraction(1)},
     )

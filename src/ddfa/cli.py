@@ -8,23 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .automata import delta_star, parse_word, to_dot, validate_dfa
-from .discharge import (
-    ChargeVector,
-    Ddfa,
-    Ddfao,
-    ReducedResult,
-    build_fr_ddfao,
-    build_tm_ddfa,
-    charge_trajectory,
-    reduced_delta_c,
-    underlying,
-    validate_rules,
-)
+from .discharge import build_fr_ddfao, build_tm_ddfa, run_record, validate_rules
 from .documents import (
     DocumentError,
     parse_document,
@@ -76,35 +63,12 @@ def _format_vector(states, vector) -> str:
     return " ".join(f"{q}={vector[q]}" for q in states)
 
 
-@dataclass
-class RunRecord:
-    """One charge run: the word, every snapshot, and the final values."""
-
-    word: tuple[str, ...]
-    snapshots: list[tuple[str, ChargeVector]]
-    final_state: str
-    final_charge: Fraction
-    reduced: ReducedResult | None = None
-
-
-def run_record(auto, start: str, word, valuation=None) -> RunRecord:
-    """Assemble the full record of running ``word`` from ``start``."""
-    word = tuple(word)
-    snapshots = charge_trajectory(auto, start, word)
-    state, vector = snapshots[-1]
-    reduced = None
-    if valuation is not None:
-        reduced = reduced_delta_c(auto, valuation, start, word)
-    return RunRecord(word, snapshots, state, vector[state], reduced)
-
-
 def cmd_validate(args) -> int:
-    doc = parse_document(_read(args.document), check=False)
-    auto = doc.automaton
-    report = validate_dfa(underlying(auto))
+    auto = parse_document(_read(args.document), check=False).automaton
+    report = validate_dfa(auto)
     print(report)
     ok = report.ok
-    if isinstance(auto, (Ddfa, Ddfao)):
+    if auto.rules is not None:
         rule_report = validate_rules(auto)
         print(rule_report)
         ok = ok and rule_report.ok
@@ -114,21 +78,17 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     doc = parse_document(_read(args.document))
     auto = doc.automaton
-    base = underlying(auto)
-    word = parse_word(base.alphabet, args.word)
-    start = args.start or base.start
-    if not isinstance(auto, (Ddfa, Ddfao)):
+    word = parse_word(auto.alphabet, args.word)
+    start = args.start or auto.start
+    if auto.rules is None:
         state = delta_star(auto, start, word)
-        if hasattr(auto, "output"):
-            print(f"{state} {auto.output[state]}")
-        else:
-            print(state)
+        print(state if auto.output is None else f"{state} {auto.output[state]}")
         return EXIT_OK
     record = run_record(auto, start, word, doc.valuation)
     if args.trace:
         for i, (state, vector) in enumerate(record.snapshots):
             prefix = "start" if i == 0 else f"read {record.word[i - 1]} ->"
-            print(f"step {i}: {prefix} {state}  {_format_vector(base.states, vector)}")
+            print(f"step {i}: {prefix} {state}  {_format_vector(auto.states, vector)}")
     print(f"{record.final_state} {record.final_charge}")
     if record.reduced is not None:
         print(f"reduced {record.reduced}")
@@ -138,9 +98,9 @@ def cmd_run(args) -> int:
 def cmd_sequence(args) -> int:
     doc = parse_document(_read(args.document))
     auto = doc.automaton
-    if not isinstance(auto, (Ddfa, Ddfao)):
+    if auto.rules is None:
         raise DocumentError("sequence generation needs a discharging automaton (ddfa/ddfao)")
-    base = args.base or len(underlying(auto).alphabet)
+    base = args.base or len(auto.alphabet)
     if args.count < 1:
         raise DocumentError(f"--count must be >= 1, got {args.count}")
     if args.form == "charge":

@@ -10,11 +10,11 @@ charge and only receives. All arithmetic is exact rational; no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .automata import Dfa, Dfao, ValidationReport, build_tm_dfa
+from .automata import Automaton, ValidationReport, build_tm_dfa
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -35,34 +35,6 @@ class DischargeRuleSet:
 
     current: Mapping[tuple[str, str], Fraction]
     not_current: Mapping[tuple[str, str, str], Fraction]
-
-
-@dataclass(frozen=True)
-class Ddfa:
-    """A DFA extended with discharge rules."""
-
-    dfa: Dfa
-    rules: DischargeRuleSet
-
-
-@dataclass(frozen=True)
-class Ddfao:
-    """A DFAO extended with discharge rules."""
-
-    dfao: Dfao
-    rules: DischargeRuleSet
-
-
-DischargingAutomaton = Ddfa | Ddfao
-
-
-def underlying(auto):
-    """The plain automaton inside a discharging one (identity otherwise)."""
-    if isinstance(auto, Ddfa):
-        return auto.dfa
-    if isinstance(auto, Ddfao):
-        return auto.dfao
-    return auto
 
 
 class ChargeResult(NamedTuple):
@@ -94,17 +66,16 @@ class ReducedResult:
         return f"{self.value}*{self.state}"
 
 
-def validate_rules(auto: DischargingAutomaton) -> ValidationReport:
+def validate_rules(auto: Automaton) -> ValidationReport:
     """Check the discharge rule set: exact coverage, nonnegativity, unit sums."""
-    base = underlying(auto)
     rules = auto.rules
     report = ValidationReport("discharge rules")
-    expected_current = {(q, s) for q in base.states for s in base.alphabet}
+    expected_current = {(q, s) for q in auto.states for s in auto.alphabet}
     expected_not = {
         (q, s, t)
-        for q in base.states
-        for s in base.alphabet
-        for t in base.alphabet
+        for q in auto.states
+        for s in auto.alphabet
+        for t in auto.alphabet
         if t != s
     }
     for key in expected_current - set(rules.current):
@@ -119,10 +90,10 @@ def validate_rules(auto: DischargingAutomaton) -> ValidationReport:
         if w < 0:
             report.add(f"negative weight {w} at {key}")
     if report.ok:
-        for q in base.states:
-            for s in base.alphabet:
+        for q in auto.states:
+            for s in auto.alphabet:
                 total = rules.current[(q, s)] + sum(
-                    (rules.not_current[(q, s, t)] for t in base.alphabet if t != s),
+                    (rules.not_current[(q, s, t)] for t in auto.alphabet if t != s),
                     ZERO,
                 )
                 if total != 1:
@@ -132,16 +103,15 @@ def validate_rules(auto: DischargingAutomaton) -> ValidationReport:
     return report
 
 
-def unit_charge(auto: DischargingAutomaton, q: str) -> ChargeVector:
+def unit_charge(auto: Automaton, q: str) -> ChargeVector:
     """Charge vector with all mass on ``q``, dense over the state list."""
-    base = underlying(auto)
-    if q not in base.states:
+    if q not in auto.states:
         raise ValueError(f"unknown state {q!r}")
-    return {p: (ONE if p == q else ZERO) for p in base.states}
+    return {p: (ONE if p == q else ZERO) for p in auto.states}
 
 
 def charge_step(
-    auto: DischargingAutomaton, current: str, vector: ChargeVector, symbol: str
+    auto: Automaton, current: str, vector: ChargeVector, symbol: str
 ) -> tuple[str, ChargeVector]:
     """Read one symbol: move the current state's charge along its out-edges.
 
@@ -150,25 +120,24 @@ def charge_step(
     send charge back to ``current``. Every other entry changes only by
     receiving. Returns the new current state and a fresh vector.
     """
-    base = underlying(auto)
-    if symbol not in base.alphabet:
+    if symbol not in auto.alphabet:
         raise ValueError(f"symbol {symbol!r} not in alphabet")
     moving = vector[current]
     new = dict(vector)
     new[current] = ZERO
-    nxt = base.transition[(current, symbol)]
+    nxt = auto.transition[(current, symbol)]
     new[nxt] += moving * auto.rules.current[(current, symbol)]
-    for t in base.alphabet:
+    for t in auto.alphabet:
         if t == symbol:
             continue
-        new[base.transition[(current, t)]] += moving * auto.rules.not_current[
+        new[auto.transition[(current, t)]] += moving * auto.rules.not_current[
             (current, symbol, t)
         ]
     return nxt, new
 
 
 def charge_trajectory(
-    auto: DischargingAutomaton, q: str, word: Iterable[str]
+    auto: Automaton, q: str, word: Iterable[str]
 ) -> list[tuple[str, ChargeVector]]:
     """All (current state, charge vector) snapshots of a run, initial one included."""
     state = q
@@ -180,7 +149,7 @@ def charge_trajectory(
     return snapshots
 
 
-def delta_c(auto: DischargingAutomaton, q: str, word: Iterable[str]) -> ChargeResult:
+def delta_c(auto: Automaton, q: str, word: Iterable[str]) -> ChargeResult:
     """Final state and the charge it holds after running ``word`` from ``q``.
 
     The empty word yields (q, 1).
@@ -193,7 +162,7 @@ def delta_c(auto: DischargingAutomaton, q: str, word: Iterable[str]) -> ChargeRe
 
 
 def reduced_delta_c(
-    auto: DischargingAutomaton,
+    auto: Automaton,
     valuation: Mapping[str, Fraction] | None,
     q: str,
     word: Iterable[str],
@@ -212,13 +181,35 @@ def reduced_delta_c(
     return ReducedResult(state, charge)
 
 
-def reduced_output(auto: Ddfao, q: str, word: Iterable[str]) -> Fraction:
+def reduced_output(auto: Automaton, q: str, word: Iterable[str]) -> Fraction:
     """Output value of the final state times the final charge."""
     state, charge = delta_c(auto, q, word)
-    return auto.dfao.output[state] * charge
+    return auto.output[state] * charge
 
 
-def equal_split_rules(base: Dfa | Dfao) -> DischargeRuleSet:
+@dataclass
+class RunRecord:
+    """One charge run: the word, every snapshot, and the final values."""
+
+    word: tuple[str, ...]
+    snapshots: list[tuple[str, ChargeVector]]
+    final_state: str
+    final_charge: Fraction
+    reduced: ReducedResult | None = None
+
+
+def run_record(auto: Automaton, start: str, word, valuation=None) -> RunRecord:
+    """Assemble the full record of running ``word`` from ``start``."""
+    word = tuple(word)
+    snapshots = charge_trajectory(auto, start, word)
+    state, vector = snapshots[-1]
+    reduced = None
+    if valuation is not None:
+        reduced = reduced_delta_c(auto, valuation, start, word)
+    return RunRecord(word, snapshots, state, vector[state], reduced)
+
+
+def equal_split_rules(base: Automaton) -> DischargeRuleSet:
     """Every (state, symbol) family splits evenly over the |alphabet| out-edges."""
     share = Fraction(1, len(base.alphabet))
     current = {(q, s): share for q in base.states for s in base.alphabet}
@@ -232,7 +223,7 @@ def equal_split_rules(base: Dfa | Dfao) -> DischargeRuleSet:
     return DischargeRuleSet(current, not_current)
 
 
-def degenerate_rules(base: Dfa | Dfao) -> DischargeRuleSet:
+def degenerate_rules(base: Automaton) -> DischargeRuleSet:
     """Current weight 1, not-current 0: charge follows the run undivided."""
     current = {(q, s): ONE for q in base.states for s in base.alphabet}
     not_current = {
@@ -245,31 +236,28 @@ def degenerate_rules(base: Dfa | Dfao) -> DischargeRuleSet:
     return DischargeRuleSet(current, not_current)
 
 
-def degenerate_ddfa(base: Dfa | Dfao) -> DischargingAutomaton:
-    """Wrap a plain automaton with the degenerate rule set.
+def degenerate_ddfa(base: Automaton) -> Automaton:
+    """Give an automaton the degenerate rule set.
 
     The resulting runs keep the full unit charge on the current state, so
     they reproduce plain transition behavior exactly.
     """
-    rules = degenerate_rules(base)
-    if isinstance(base, Dfao):
-        return Ddfao(base, rules)
-    return Ddfa(base, rules)
+    return replace(base, rules=degenerate_rules(base))
 
 
-def build_tm_ddfa() -> Ddfa:
+def build_tm_ddfa() -> Automaton:
     """The 2-state binary parity automaton with all weights 1/2."""
     base = build_tm_dfa()
-    return Ddfa(base, equal_split_rules(base))
+    return replace(base, rules=equal_split_rules(base))
 
 
-def build_fr_ddfao() -> Ddfao:
+def build_fr_ddfao() -> Automaton:
     """The 4-state binary automaton (power-of-two detector) with all weights 1/2.
 
     Output is the characteristic function of the state reached exactly by
     expansions of 2^j with j >= 1.
     """
-    dfao = Dfao(
+    base = Automaton(
         states=("q0", "q1", "q2", "q3"),
         alphabet=("0", "1"),
         transition={
@@ -283,7 +271,6 @@ def build_fr_ddfao() -> Ddfao:
             ("q3", "1"): "q2",
         },
         start="q0",
-        output_alphabet=(Fraction(0), Fraction(1)),
         output={
             "q0": Fraction(0),
             "q1": Fraction(0),
@@ -291,4 +278,4 @@ def build_fr_ddfao() -> Ddfao:
             "q3": Fraction(1),
         },
     )
-    return Ddfao(dfao, equal_split_rules(dfao))
+    return replace(base, rules=equal_split_rules(base))

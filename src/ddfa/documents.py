@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .automata import Dfa, Dfao, validate_dfa
-from .discharge import Ddfa, Ddfao, DischargeRuleSet, underlying, validate_rules
+from .automata import Automaton, validate_dfa
+from .discharge import DischargeRuleSet, validate_rules
 from .regularity import (
     AffineCombination,
     QuasiRegularitySpec,
@@ -82,13 +82,12 @@ def format_rational(value: Fraction) -> str:
 class AutomatonDocument:
     """A parsed, fully validated automaton file."""
 
-    kind: str
-    automaton: Dfa | Dfao | Ddfa | Ddfao
+    automaton: Automaton
     valuation: dict[str, Fraction] | None = None
 
-
-def kind_of(auto) -> str:
-    return {Dfa: "dfa", Dfao: "dfao", Ddfa: "ddfa", Ddfao: "ddfao"}[type(auto)]
+    @property
+    def kind(self) -> str:
+        return self.automaton.kind
 
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -104,6 +103,12 @@ def _name_list(value, where: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise DocumentError(f"{where}: expected a list of strings")
     return tuple(value)
+
+
+def _name(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise DocumentError(f"{where}: expected a string, got {type(value).__name__}")
+    return value
 
 
 def _load_json(text: str):
@@ -142,9 +147,7 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
 
     states = _name_list(obj["states"], "states")
     alphabet = _name_list(obj["alphabet"], "alphabet")
-    start = obj["start"]
-    if not isinstance(start, str):
-        raise DocumentError("start: expected a state name")
+    start = _name(obj["start"], "start")
 
     if not isinstance(obj["transitions"], list):
         raise DocumentError("transitions: expected a list")
@@ -154,10 +157,11 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
         if not isinstance(entry, dict):
             raise DocumentError(f"{where}: expected an object")
         _check_keys(entry, {"from", "symbol", "to"}, {"from", "symbol", "to"}, where)
-        key = (entry["from"], entry["symbol"])
+        key = (_name(entry["from"], f"{where}.from"),
+               _name(entry["symbol"], f"{where}.symbol"))
         if key in transition:
             raise DocumentError(f"{where}: duplicate transition for {key}")
-        transition[key] = entry["to"]
+        transition[key] = _name(entry["to"], f"{where}.to")
 
     rules = None
     if with_rules:
@@ -172,7 +176,7 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
                 raise DocumentError(f"{where}: expected an object")
             _check_keys(entry, {"state", "current", "notCurrent"},
                         {"state", "current", "notCurrent"}, where)
-            q = entry["state"]
+            q = _name(entry["state"], f"{where}.state")
             if q in seen_states:
                 raise DocumentError(f"{where}: duplicate discharge entry for state {q}")
             seen_states.add(q)
@@ -197,25 +201,17 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
         output = {
             q: parse_rational(v, f"output[{q}]") for q, v in obj["output"].items()
         }
-        values: list[Fraction] = []
-        for v in output.values():
-            if v not in values:
-                values.append(v)
-        base = Dfao(states, alphabet, transition, start,
-                    tuple(values), output)
+        accepting = frozenset()
     else:
+        output = None
         accepting = frozenset(_name_list(obj["accepting"], "accepting"))
-        base = Dfa(states, alphabet, transition, start, accepting)
+    automaton = Automaton(states, alphabet, transition, start, accepting, output, rules)
 
     if check:
-        report = validate_dfa(base)
+        report = validate_dfa(automaton)
         if not report.ok:
             raise DocumentError("invalid automaton: " + "; ".join(report.problems))
-
-    automaton = base
-    if with_rules:
-        automaton = Ddfao(base, rules) if with_output else Ddfa(base, rules)
-        if check:
+        if rules is not None:
             rule_report = validate_rules(automaton)
             if not rule_report.ok:
                 raise DocumentError(
@@ -232,55 +228,51 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
                 raise DocumentError(f"valuation: unknown state {q!r}")
             valuation[q] = parse_rational(v, f"valuation[{q}]")
 
-    return AutomatonDocument(kind, automaton, valuation)
+    return AutomatonDocument(automaton, valuation)
 
 
 def serialize_document(doc: AutomatonDocument) -> str:
     """Canonical text for an automaton document (stable bytes)."""
-    base = underlying(doc.automaton)
-    rules = getattr(doc.automaton, "rules", None)
+    auto = doc.automaton
+    rules = auto.rules
     obj: dict = {
         "kind": doc.kind,
-        "states": list(base.states),
-        "alphabet": list(base.alphabet),
-        "start": base.start,
+        "states": list(auto.states),
+        "alphabet": list(auto.alphabet),
+        "start": auto.start,
     }
-    if isinstance(base, Dfao):
-        obj["output"] = {q: format_rational(base.output[q]) for q in base.states}
+    if auto.output is not None:
+        obj["output"] = {q: format_rational(auto.output[q]) for q in auto.states}
     else:
-        obj["accepting"] = [q for q in base.states if q in base.accepting]
+        obj["accepting"] = [q for q in auto.states if q in auto.accepting]
     obj["transitions"] = [
-        {"from": q, "symbol": s, "to": base.transition[(q, s)]}
-        for q in base.states
-        for s in base.alphabet
+        {"from": q, "symbol": s, "to": auto.transition[(q, s)]}
+        for q in auto.states
+        for s in auto.alphabet
     ]
     if rules is not None:
         obj["discharge"] = [
             {
                 "state": q,
                 "current": {
-                    s: format_rational(rules.current[(q, s)]) for s in base.alphabet
+                    s: format_rational(rules.current[(q, s)]) for s in auto.alphabet
                 },
                 "notCurrent": {
                     s: {
                         t: format_rational(rules.not_current[(q, s, t)])
-                        for t in base.alphabet
+                        for t in auto.alphabet
                         if t != s
                     }
-                    for s in base.alphabet
+                    for s in auto.alphabet
                 },
             }
-            for q in base.states
+            for q in auto.states
         ]
     if doc.valuation is not None:
         obj["valuation"] = {
-            q: format_rational(doc.valuation[q]) for q in base.states if q in doc.valuation
+            q: format_rational(doc.valuation[q]) for q in auto.states if q in doc.valuation
         }
     return json.dumps(obj, indent=2) + "\n"
-
-
-def document_for(automaton, valuation: dict[str, Fraction] | None = None) -> AutomatonDocument:
-    return AutomatonDocument(kind_of(automaton), automaton, valuation)
 
 
 # ---------------------------------------------------------------------------

@@ -19,18 +19,13 @@ Every producer is exact: Fraction or int, never float.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from .automata import Dfao, base_k_word, build_tm_dfao, dfao_output
-from .discharge import (
-    DischargingAutomaton,
-    delta_c,
-    reduced_delta_c,
-    underlying,
-)
+from .automata import Automaton, base_k_word, build_tm_dfao, dfao_output
+from .discharge import delta_c, reduced_delta_c
 
 
 class Sequence:
@@ -70,8 +65,8 @@ class Sequence:
 # charge sequences from automata
 
 
-def _check_base(auto: DischargingAutomaton, base: int) -> None:
-    alphabet = underlying(auto).alphabet
+def _check_base(auto: Automaton, base: int) -> None:
+    alphabet = auto.alphabet
     expected = {str(i) for i in range(base)}
     if len(alphabet) != base or set(alphabet) != expected:
         raise ValueError(
@@ -79,10 +74,10 @@ def _check_base(auto: DischargingAutomaton, base: int) -> None:
         )
 
 
-def final_charge_sequence(auto: DischargingAutomaton, base: int) -> Sequence:
+def final_charge_sequence(auto: Automaton, base: int) -> Sequence:
     """Final charge of the run on the base-``base`` expansion of each n."""
     _check_base(auto, base)
-    start = underlying(auto).start
+    start = auto.start
 
     def term(n: int) -> Fraction:
         return delta_c(auto, start, base_k_word(n, base)).final_charge
@@ -91,11 +86,11 @@ def final_charge_sequence(auto: DischargingAutomaton, base: int) -> Sequence:
 
 
 def reduced_value_sequence(
-    auto: DischargingAutomaton, valuation: Mapping[str, Fraction], base: int
+    auto: Automaton, valuation: Mapping[str, Fraction], base: int
 ) -> Sequence:
     """Numeric reduced value of each run; the valuation must cover final states."""
     _check_base(auto, base)
-    start = underlying(auto).start
+    start = auto.start
 
     def term(n: int) -> Fraction:
         result = reduced_delta_c(auto, valuation, start, base_k_word(n, base))
@@ -135,15 +130,11 @@ def a_recursion(n: int) -> Fraction:
 def modified_b_sequence(n: int) -> int:
     """(b(n) + 1) / 2 for n >= 1, where b(n) is the numerator of a(n).
 
-    b(n) is always odd, so the result is an integer; an even numerator
-    would mean an upstream bug and raises.
+    b(n) is always odd, so the result is an integer.
     """
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    b = a_recursion(n).numerator
-    if b % 2 == 0:
-        raise ArithmeticError(f"numerator b({n}) = {b} is even")
-    return (b + 1) // 2
+    return (a_recursion(n).numerator + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -233,106 +224,10 @@ def d_shape_closed_form(n: int) -> Fraction:
 def e_sequence(n: int) -> int:
     """Integer scaling of d(n): its reduced numerator.
 
-    The word shape dictates a power-of-two factor (4, 2^(l+1) or 2^(l+2))
-    that clears the reduced denominator exactly; both routes are computed
-    and compared, and a mismatch or a non-integer scaling raises.
+    The word shape of n fixes a power-of-two factor (2, 4, 2^(l+1) or
+    2^(l+2)) that clears the denominator of d(n) exactly.
     """
-    d = d_shape_closed_form(n)
-    if n == 0:
-        factor = 2
-    else:
-        shape, zeros = _binary_shape(n)
-        factor = {
-            "double-one": 4,
-            "one-zeros": 2 ** (zeros + 1),
-            "one-zeros-one": 2 ** (zeros + 2),
-        }[shape]
-    scaled = factor * d
-    if scaled.denominator != 1:
-        raise ArithmeticError(f"shape scaling of d({n}) is not an integer: {scaled}")
-    if scaled != d.numerator:
-        raise ArithmeticError(
-            f"shape scaling {scaled} disagrees with reduced numerator {d.numerator} at n={n}"
-        )
-    return d.numerator
-
-
-@dataclass
-class BranchStats:
-    """Usage counts for one membership branch."""
-
-    label: str
-    matched: int = 0
-    exclusive: int = 0
-
-
-@dataclass
-class RelationCheckReport:
-    """Result of the e-sequence relation scan.
-
-    ``doubling_failures`` lists n where e(2n) != e(n); ``quad1`` /
-    ``quad3`` carry per-branch stats for the two two-branch memberships,
-    with ``*_failures`` listing n matched by neither branch.
-    """
-
-    limit: int
-    doubling_failures: list[int] = field(default_factory=list)
-    quad1: list[BranchStats] = field(default_factory=list)
-    quad1_failures: list[int] = field(default_factory=list)
-    quad3: list[BranchStats] = field(default_factory=list)
-    quad3_failures: list[int] = field(default_factory=list)
-    min_branch_hits: int = 5
-
-    @property
-    def ok(self) -> bool:
-        if self.doubling_failures or self.quad1_failures or self.quad3_failures:
-            return False
-        return all(
-            stats.matched >= self.min_branch_hits for stats in self.quad1 + self.quad3
-        )
-
-
-def _scan_membership(values, options, stats, failures):
-    for n, value in values:
-        hits = [i for i, (_, opt) in enumerate(options(n)) if opt == value]
-        for i in hits:
-            stats[i].matched += 1
-        if len(hits) == 1:
-            stats[hits[0]].exclusive += 1
-        if not hits:
-            failures.append(n)
-
-
-def e_relation_check(limit: int) -> RelationCheckReport:
-    """Scan the e-sequence identities up to ``limit``.
-
-    Checks e(2n) = e(n) for 0 <= n <= limit, e(4n+1) in
-    {e(2n), 2 e(2n+1) + 1} for 0 <= n <= limit, and e(4n+3) in
-    {e(2n), e(2n+1)} for 1 <= n <= limit, counting how often each branch
-    matches (and how often it is the only match). ``ok`` additionally
-    requires every branch to match at least ``min_branch_hits`` times.
-    """
-    if limit < 16:
-        raise ValueError(f"limit must be at least 16, got {limit}")
-    report = RelationCheckReport(limit)
-    for n in range(limit + 1):
-        if e_sequence(2 * n) != e_sequence(n):
-            report.doubling_failures.append(n)
-    report.quad1 = [BranchStats("e(2n)"), BranchStats("2*e(2n+1)+1")]
-    _scan_membership(
-        ((n, e_sequence(4 * n + 1)) for n in range(limit + 1)),
-        lambda n: [("e(2n)", e_sequence(2 * n)), ("2*e(2n+1)+1", 2 * e_sequence(2 * n + 1) + 1)],
-        report.quad1,
-        report.quad1_failures,
-    )
-    report.quad3 = [BranchStats("e(2n)"), BranchStats("e(2n+1)")]
-    _scan_membership(
-        ((n, e_sequence(4 * n + 3)) for n in range(1, limit + 1)),
-        lambda n: [("e(2n)", e_sequence(2 * n)), ("e(2n+1)", e_sequence(2 * n + 1))],
-        report.quad3,
-        report.quad3_failures,
-    )
-    return report
+    return d_shape_closed_form(n).numerator
 
 
 def _is_prime(n: int) -> bool:
@@ -370,7 +265,7 @@ def t_sequence(n: int) -> int:
     return t_sequence(half)
 
 
-_TM_DFAO: Dfao = build_tm_dfao()
+_TM_DFAO: Automaton = build_tm_dfao()
 
 
 @lru_cache(maxsize=None)
@@ -430,7 +325,10 @@ def read_b_file(text: str, name: str = "file") -> Sequence:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'n value', got {raw!r}")
         n = int(parts[0])
-        value = Fraction(parts[1])
+        try:
+            value = Fraction(parts[1])
+        except ZeroDivisionError:
+            raise ValueError(f"line {lineno}: zero denominator in {raw!r}") from None
         table[n] = int(value) if value.denominator == 1 else value
 
     def term(n: int):

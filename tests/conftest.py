@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from ddfa.automata import Dfa
-from ddfa.discharge import Ddfa, DischargeRuleSet
+from ddfa.automata import Automaton
+from ddfa.discharge import DischargeRuleSet
 
 
-def random_dfa(rng: random.Random, max_states: int = 6, max_symbols: int = 4) -> Dfa:
+def random_dfa(rng: random.Random, max_states: int = 6, max_symbols: int = 4) -> Automaton:
     n_states = rng.randint(1, max_states)
     n_symbols = rng.randint(1, max_symbols)
     states = tuple(f"q{i}" for i in range(n_states))
@@ -20,10 +21,10 @@ def random_dfa(rng: random.Random, max_states: int = 6, max_symbols: int = 4) ->
         (q, s): states[rng.randrange(n_states)] for q in states for s in alphabet
     }
     accepting = frozenset(q for q in states if rng.random() < 0.3)
-    return Dfa(states, alphabet, transition, states[rng.randrange(n_states)], accepting)
+    return Automaton(states, alphabet, transition, states[rng.randrange(n_states)], accepting)
 
 
-def random_rules(rng: random.Random, dfa: Dfa) -> DischargeRuleSet:
+def random_rules(rng: random.Random, dfa: Automaton) -> DischargeRuleSet:
     """Random nonnegative rational weights, exact unit sum per (state, symbol)."""
     current: dict[tuple[str, str], Fraction] = {}
     not_current: dict[tuple[str, str, str], Fraction] = {}
@@ -40,9 +41,9 @@ def random_rules(rng: random.Random, dfa: Dfa) -> DischargeRuleSet:
     return DischargeRuleSet(current, not_current)
 
 
-def random_ddfa(rng: random.Random, **limits) -> Ddfa:
+def random_ddfa(rng: random.Random, **limits) -> Automaton:
     dfa = random_dfa(rng, **limits)
-    return Ddfa(dfa, random_rules(rng, dfa))
+    return replace(dfa, rules=random_rules(rng, dfa))
 
 
 def random_word(rng: random.Random, alphabet, max_len: int = 64) -> tuple[str, ...]:

@@ -18,7 +18,6 @@ from ddfa.discharge import (
     degenerate_ddfa,
     delta_c,
     reduced_delta_c,
-    underlying,
     unit_charge,
     charge_step,
     validate_rules,
@@ -37,7 +36,6 @@ from ddfa.sequences import (
     a_recursion,
     builtin_sequence,
     d_shape_closed_form,
-    e_relation_check,
     e_sequence,
     final_charge_sequence,
     modified_b_sequence,
@@ -161,11 +159,10 @@ def test_criterion_07_conservation():
     failures = 0
     for _ in range(500):
         auto = random_ddfa(rng)
-        base = underlying(auto)
         assert validate_rules(auto).ok
-        state = base.start
-        vector = unit_charge(auto, base.start)
-        for symbol in random_word(rng, base.alphabet):
+        state = auto.start
+        vector = unit_charge(auto, auto.start)
+        for symbol in random_word(rng, auto.alphabet):
             state, vector = charge_step(auto, state, vector, symbol)
             if sum(vector.values()) != 1 or any(
                 not 0 <= c <= 1 for c in vector.values()
@@ -179,15 +176,20 @@ def test_criterion_07_conservation():
 
 def test_criterion_08_e_relations():
     t0 = time.perf_counter()
-    rep = e_relation_check(2**14)
+    e = builtin_sequence("e")
+    doubling_failures = [n for n in range(2**14 + 1) if e(2 * n) != e(n)]
+    rep = verify_quasi_k_regular(e, load_spec("e_quasi_spec.json"), 2**14, depth=1)
     elapsed = time.perf_counter() - t0
-    branch_counts = [s.matched for s in rep.quad1 + rep.quad3]
+    # the two-option memberships e(4n+1) and e(4n+3)
+    memberships = [rep.levels[(2, 1)], rep.levels[(2, 3)]]
+    branch_counts = [hits for level in memberships for hits in level.option_hits]
+    option_counts = [hits for level in rep.levels.values() for hits in level.option_hits]
     ok = (
-        rep.ok
-        and not rep.doubling_failures
-        and not rep.quad1_failures
-        and not rep.quad3_failures
-        and all(c >= 5 for c in branch_counts)
+        rep.verified
+        and not doubling_failures
+        and all(level.ok for level in memberships)
+        and len(branch_counts) == 4
+        and all(c >= 5 for c in option_counts)
         and elapsed < 30.0
     )
     report(8, ok, f"e(2n)=e(n) and both memberships hold to n=2^14 in {elapsed:.1f}s; "

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ddfa.automata import (
-    Dfa,
+    Automaton,
     base_k_word,
     build_tm_dfa,
     build_tm_dfao,
@@ -30,14 +32,14 @@ class TestValidation:
         dfa = build_tm_dfa()
         transition = dict(dfa.transition)
         del transition[("q1", "0")]
-        broken = Dfa(dfa.states, dfa.alphabet, transition, dfa.start, dfa.accepting)
+        broken = replace(dfa, transition=transition)
         report = validate_dfa(broken)
         assert not report.ok
         assert any("missing transition" in p for p in report.problems)
 
     def test_single_state_self_loops_valid(self):
-        dfa = Dfa(("q0",), ("0", "1"), {("q0", "0"): "q0", ("q0", "1"): "q0"},
-                  "q0", frozenset({"q0"}))
+        dfa = Automaton(("q0",), ("0", "1"), {("q0", "0"): "q0", ("q0", "1"): "q0"},
+                        "q0", frozenset({"q0"}))
         assert validate_dfa(dfa).ok
 
     def test_tm_dfao_is_valid(self):
@@ -155,7 +157,7 @@ class TestToDot:
         assert (nodes, edges) == (4, 8)
 
     def test_single_state_loop(self):
-        dfa = Dfa(("q0",), ("0",), {("q0", "0"): "q0"}, "q0", frozenset())
+        dfa = Automaton(("q0",), ("0",), {("q0", "0"): "q0"}, "q0")
         nodes, edges = self.node_and_edge_counts(to_dot(dfa))
         assert (nodes, edges) == (1, 1)
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ddfa
 from ddfa.cli import main
 from ddfa.documents import corpus_path
 
@@ -123,6 +128,33 @@ class TestValidate:
         assert code == 2
         assert "syntax error" in err
 
+    @pytest.mark.parametrize("block,field,value", [
+        ("transitions", "from", ["a"]),
+        ("transitions", "symbol", 0),
+        ("transitions", "to", [1]),
+        ("discharge", "state", {}),
+    ])
+    def test_non_string_name_exit_two(self, capsys, tmp_path, block, field, value):
+        obj = json.loads(corpus_path("tm_ddfa.json").read_text())
+        obj[block][0][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        for argv in (["validate", str(bad)], ["run", str(bad), "1"], ["dot", str(bad)]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert f"{block}[0].{field}: expected a string" in err
+
+    def test_module_entry_point_runs_without_warnings(self):
+        src = str(Path(ddfa.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ddfa.cli", "validate", TM],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "valid" in result.stdout
+
 
 class TestVerify:
     def test_tcal_spec_verified(self, capsys):
@@ -226,6 +258,13 @@ class TestKernel:
         assert code == 0
         assert len(out.splitlines()) == 4
 
+    def test_zero_denominator_bfile_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\n1 1/0\n")
+        code, _, err = run_cli(capsys, "kernel", "--seq", str(path))
+        assert code == 2
+        assert "line 2: zero denominator" in err
+
 
 class TestDot:
     def test_tm_dot(self, capsys):
@@ -244,8 +283,7 @@ class TestRunRecord:
     def test_consistent_with_trajectory(self):
         from fractions import Fraction
 
-        from ddfa.cli import run_record
-        from ddfa.discharge import build_fr_ddfao, charge_trajectory
+        from ddfa.discharge import build_fr_ddfao, charge_trajectory, run_record
 
         fr = build_fr_ddfao()
         record = run_record(fr, "q0", "1010", {q: Fraction(1) for q in
@@ -255,8 +293,7 @@ class TestRunRecord:
         assert record.reduced is not None and record.reduced.value == Fraction(7, 8)
 
     def test_no_valuation_no_reduced(self):
-        from ddfa.cli import run_record
-        from ddfa.discharge import build_tm_ddfa
+        from ddfa.discharge import build_tm_ddfa, run_record
 
         record = run_record(build_tm_ddfa(), "q0", "")
         assert record.reduced is None

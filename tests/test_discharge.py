@@ -1,10 +1,16 @@
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ddfa.automata import Dfa, delta_star
+from ddfa.automata import (
+    Automaton,
+    build_tm_dfa,
+    build_tm_dfao,
+    delta_star,
+    dfao_output,
+)
 from ddfa.discharge import (
-    Ddfa,
     DischargeRuleSet,
     build_fr_ddfao,
     build_tm_ddfa,
@@ -14,7 +20,6 @@ from ddfa.discharge import (
     delta_c,
     reduced_delta_c,
     reduced_output,
-    underlying,
     unit_charge,
     validate_rules,
 )
@@ -35,8 +40,7 @@ def ddfa_and_word(draw):
         for q in states
         for s in alphabet
     }
-    dfa = Dfa(states, alphabet, transition, states[draw(st.integers(0, n_states - 1))],
-              frozenset())
+    dfa = Automaton(states, alphabet, transition, states[draw(st.integers(0, n_states - 1))])
     current, not_current = {}, {}
     for q in states:
         for s in alphabet:
@@ -51,7 +55,7 @@ def ddfa_and_word(draw):
         alphabet[draw(st.integers(0, n_symbols - 1))]
         for _ in range(draw(st.integers(0, 24)))
     )
-    return Ddfa(dfa, DischargeRuleSet(current, not_current)), word
+    return replace(dfa, rules=DischargeRuleSet(current, not_current)), word
 
 
 class TestValidateRules:
@@ -64,7 +68,7 @@ class TestValidateRules:
         not_current = dict(tm.rules.not_current)
         current[("q0", "0")] = F(3, 4)
         not_current[("q0", "0", "1")] = F(3, 4)
-        report = validate_rules(Ddfa(tm.dfa, DischargeRuleSet(current, not_current)))
+        report = validate_rules(replace(tm, rules=DischargeRuleSet(current, not_current)))
         assert not report.ok
         assert any("sum" in p for p in report.problems)
 
@@ -74,7 +78,7 @@ class TestValidateRules:
         not_current = dict(tm.rules.not_current)
         current[("q0", "0")] = F(3, 2)
         not_current[("q0", "0", "1")] = F(-1, 2)
-        report = validate_rules(Ddfa(tm.dfa, DischargeRuleSet(current, not_current)))
+        report = validate_rules(replace(tm, rules=DischargeRuleSet(current, not_current)))
         assert not report.ok
         assert any("negative" in p for p in report.problems)
 
@@ -82,7 +86,7 @@ class TestValidateRules:
         tm = build_tm_ddfa()
         current = dict(tm.rules.current)
         del current[("q1", "1")]
-        report = validate_rules(Ddfa(tm.dfa, DischargeRuleSet(current, tm.rules.not_current)))
+        report = validate_rules(replace(tm, rules=DischargeRuleSet(current, tm.rules.not_current)))
         assert not report.ok
 
 
@@ -102,10 +106,9 @@ class TestChargeStep:
     def test_degenerate_rules_move_everything(self, rng):
         for _ in range(25):
             auto = degenerate_ddfa(random_dfa(rng))
-            base = underlying(auto)
-            q = base.start
+            q = auto.start
             vector = unit_charge(auto, q)
-            for s in random_word(rng, base.alphabet, 16):
+            for s in random_word(rng, auto.alphabet, 16):
                 q, vector = charge_step(auto, q, vector, s)
                 assert vector[q] == 1
                 assert sum(vector.values()) == 1
@@ -123,7 +126,7 @@ class TestDeltaC:
 
     def test_empty_word(self):
         fr = build_fr_ddfao()
-        for q in underlying(fr).states:
+        for q in fr.states:
             assert delta_c(fr, q, "") == (q, 1)
 
     def test_tm_single_one(self):
@@ -150,10 +153,9 @@ class TestChargeTrajectory:
     def test_last_snapshot_matches_delta_c(self, rng):
         for _ in range(25):
             auto = random_ddfa(rng)
-            base = underlying(auto)
-            word = random_word(rng, base.alphabet, 32)
-            state, vector = charge_trajectory(auto, base.start, word)[-1]
-            assert delta_c(auto, base.start, word) == (state, vector[state])
+            word = random_word(rng, auto.alphabet, 32)
+            state, vector = charge_trajectory(auto, auto.start, word)[-1]
+            assert delta_c(auto, auto.start, word) == (state, vector[state])
 
 
 class TestReducedForms:
@@ -176,16 +178,16 @@ class TestReducedForms:
 
     def test_zero_charge_collapses_to_zero(self):
         # all of A's charge on symbol 0 flows along the not-current self edge
-        dfa = Dfa(("A", "B"), ("0", "1"),
-                  {("A", "0"): "B", ("A", "1"): "A", ("B", "0"): "B", ("B", "1"): "B"},
-                  "A", frozenset())
+        dfa = Automaton(("A", "B"), ("0", "1"),
+                        {("A", "0"): "B", ("A", "1"): "A", ("B", "0"): "B", ("B", "1"): "B"},
+                        "A")
         rules = DischargeRuleSet(
             current={("A", "0"): F(0), ("A", "1"): F(1, 2),
                      ("B", "0"): F(1, 2), ("B", "1"): F(1, 2)},
             not_current={("A", "0", "1"): F(1), ("A", "1", "0"): F(1, 2),
                          ("B", "0", "1"): F(1, 2), ("B", "1", "0"): F(1, 2)},
         )
-        auto = Ddfa(dfa, rules)
+        auto = replace(dfa, rules=rules)
         assert validate_rules(auto).ok
         assert delta_c(auto, "A", "0") == ("B", 0)
         result = reduced_delta_c(auto, None, "A", "0")
@@ -197,17 +199,11 @@ class TestReducedForms:
         assert reduced_output(fr, "q0", "1010") == 0  # ends on q2, output 0
 
     def test_reduced_output_with_all_ones_output(self):
-        from ddfa.automata import Dfao
-        from ddfa.discharge import Ddfao
-
         fr = build_fr_ddfao()
-        ones = Dfao(fr.dfao.states, fr.dfao.alphabet, fr.dfao.transition,
-                    fr.dfao.start, (F(1),), {q: F(1) for q in fr.dfao.states})
-        assert reduced_output(Ddfao(ones, fr.rules), "q0", "1010") == F(7, 8)
+        ones = replace(fr, output={q: F(1) for q in fr.states})
+        assert reduced_output(ones, "q0", "1010") == F(7, 8)
 
     def test_reduced_output_degenerate_equals_plain_output(self, rng):
-        from ddfa.automata import build_tm_dfao, dfao_output
-
         auto = degenerate_ddfa(build_tm_dfao())
         for _ in range(50):
             word = random_word(rng, ("0", "1"), 20)
@@ -216,7 +212,7 @@ class TestReducedForms:
 
 class TestDegenerate:
     def test_charge_always_one_on_tm(self, rng):
-        auto = degenerate_ddfa(build_tm_ddfa().dfa)
+        auto = degenerate_ddfa(build_tm_dfa())
         for _ in range(50):
             word = random_word(rng, ("0", "1"), 40)
             assert delta_c(auto, "q0", word).final_charge == 1
@@ -231,7 +227,7 @@ class TestDegenerate:
             assert result.value == 1
 
     def test_empty_word(self):
-        auto = degenerate_ddfa(build_tm_ddfa().dfa)
+        auto = degenerate_ddfa(build_tm_dfa())
         assert delta_c(auto, "q0", "") == ("q0", 1)
 
     def test_degenerate_rules_satisfy_sum_axiom(self, rng):
@@ -244,7 +240,7 @@ class TestBuilders:
         assert validate_rules(build_tm_ddfa()).ok
 
     def test_fr_transitions(self):
-        fr = build_fr_ddfao().dfao
+        fr = build_fr_ddfao()
         expected = {
             ("q0", "1"): "q1", ("q1", "0"): "q3", ("q3", "1"): "q2",
             ("q2", "0"): "q2", ("q2", "1"): "q2", ("q3", "0"): "q3",
@@ -259,7 +255,7 @@ class TestBuilders:
         from ddfa.automata import base_k_word
 
         for auto in (build_tm_ddfa(), build_fr_ddfao()):
-            start = underlying(auto).start
+            start = auto.start
             for n in range(512):
                 den = delta_c(auto, start, base_k_word(n, 2)).final_charge.denominator
                 assert den & (den - 1) == 0
@@ -270,9 +266,8 @@ class TestInvariants:
     @given(ddfa_and_word())
     def test_conservation_and_range(self, pair):
         auto, word = pair
-        base = underlying(auto)
-        state = base.start
-        vector = unit_charge(auto, base.start)
+        state = auto.start
+        vector = unit_charge(auto, auto.start)
         for s in word:
             state, vector = charge_step(auto, state, vector, s)
             assert sum(vector.values()) == 1
@@ -282,16 +277,14 @@ class TestInvariants:
     @given(ddfa_and_word())
     def test_final_state_matches_delta_star(self, pair):
         auto, word = pair
-        base = underlying(auto)
-        assert delta_c(auto, base.start, word).final_state == delta_star(
-            base, base.start, word
+        assert delta_c(auto, auto.start, word).final_state == delta_star(
+            auto, auto.start, word
         )
 
     @settings(max_examples=75, deadline=None)
     @given(ddfa_and_word())
     def test_prefix_recursion(self, pair):
         auto, word = pair
-        base = underlying(auto)
-        snapshots = charge_trajectory(auto, base.start, word)
+        snapshots = charge_trajectory(auto, auto.start, word)
         for i in range(len(word) + 1):
-            assert snapshots[i] == charge_trajectory(auto, base.start, word[:i])[-1]
+            assert snapshots[i] == charge_trajectory(auto, auto.start, word[:i])[-1]

@@ -5,9 +5,9 @@ import pytest
 
 from ddfa.discharge import build_fr_ddfao, build_tm_ddfa, delta_c
 from ddfa.documents import (
+    AutomatonDocument,
     DocumentError,
     corpus_path,
-    document_for,
     parse_document,
     parse_rational,
     parse_spec_document,
@@ -110,7 +110,7 @@ class TestRoundTrip:
         assert serialize_document(parse_document(text)) == text
 
     def test_document_round_trip(self):
-        doc = document_for(build_fr_ddfao(), {"q0": F(1, 3), "q2": F(2)})
+        doc = AutomatonDocument(build_fr_ddfao(), {"q0": F(1, 3), "q2": F(2)})
         assert parse_document(serialize_document(doc)) == doc
 
     def test_parsed_document_runs(self):

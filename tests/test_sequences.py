@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddfa.automata import build_tm_dfa
 from ddfa.discharge import build_fr_ddfao, build_tm_ddfa
+from ddfa.documents import corpus_path, parse_spec_document
+from ddfa.regularity import verify_quasi_k_regular
 from ddfa.sequences import (
     Sequence,
     a131271_triangle,
@@ -11,7 +14,6 @@ from ddfa.sequences import (
     b_file_text,
     builtin_sequence,
     d_shape_closed_form,
-    e_relation_check,
     e_sequence,
     final_charge_sequence,
     modified_b_sequence,
@@ -88,6 +90,11 @@ class TestModifiedB:
         with pytest.raises(ValueError):
             modified_b_sequence(0)
 
+    def test_halves_an_odd_numerator_below_2_12(self):
+        # (b + 1) // 2 is exact only because every b(n) is odd
+        for n in range(1, 2**12):
+            assert 2 * modified_b_sequence(n) - 1 == a_recursion(n).numerator
+
 
 class TestTriangle:
     def test_row_zero(self):
@@ -163,6 +170,20 @@ class TestESequence:
         for n in range(2**12):
             assert e_sequence(n) == sim(n)
 
+    def test_word_shape_factor_clears_denominator_below_2_12(self):
+        def shape_factor(n: int) -> int:
+            # oracle: 2 for n = 0, 4 for 11..., 2^(l+1) for 1 0^l, 2^(l+2) for 1 0^l 1...
+            if n == 0:
+                return 2
+            rest = format(n, "b")[1:]
+            if rest.startswith("1"):
+                return 4
+            zeros = len(rest) - len(rest.lstrip("0"))
+            return 2 ** (zeros + 1) if zeros == len(rest) else 2 ** (zeros + 2)
+
+        for n in range(2**12):
+            assert shape_factor(n) * d_shape_closed_form(n) == e_sequence(n)
+
 
 class TestERelationCheck:
     def test_membership_examples(self):
@@ -171,18 +192,16 @@ class TestERelationCheck:
         assert e_sequence(7) == e_sequence(3) == 3
 
     def test_report_below_2_10(self):
-        report = e_relation_check(2**10)
-        assert report.ok
-        assert not report.doubling_failures
-        assert all(stats.matched >= 5 for stats in report.quad1 + report.quad3)
+        spec = parse_spec_document(corpus_path("e_quasi_spec.json").read_text())
+        report = verify_quasi_k_regular(builtin_sequence("e"), spec, 2**10, depth=1)
+        assert report.verified
+        assert [len(report.levels[(2, r)].option_hits) for r in (1, 3)] == [2, 2]
+        assert all(hits >= 5 for level in report.levels.values()
+                   for hits in level.option_hits)
 
     def test_doubling_identity_holds(self):
-        report = e_relation_check(64)
-        assert report.doubling_failures == []
-
-    def test_small_limit_rejected(self):
-        with pytest.raises(ValueError):
-            e_relation_check(8)
+        for n in range(65):
+            assert e_sequence(2 * n) == e_sequence(n)
 
 
 class TestTcal:
@@ -226,7 +245,7 @@ class TestChargeSequences:
     def test_degenerate_is_constant_one(self):
         from ddfa.discharge import degenerate_ddfa
 
-        seq = final_charge_sequence(degenerate_ddfa(build_tm_ddfa().dfa), 2)
+        seq = final_charge_sequence(degenerate_ddfa(build_tm_dfa()), 2)
         assert seq.prefix(64) == [F(1)] * 64
 
     def test_base_mismatch_rejected(self):
