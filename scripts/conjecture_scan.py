@@ -10,6 +10,8 @@ only, nothing here proves the open question.
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 
 from ddfa import (
     build_fr_ddfao,
@@ -57,4 +59,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed early, as in `| head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

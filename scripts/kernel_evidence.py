@@ -9,6 +9,8 @@ structure (the window is finite, so this is evidence, not proof).
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 
 from ddfa import builtin_sequence, k_kernel
 
@@ -28,4 +30,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed early, as in `| head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

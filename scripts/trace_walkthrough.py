@@ -8,6 +8,9 @@ next to their closed-form counterparts.
 
 from __future__ import annotations
 
+import os
+import sys
+
 from ddfa import (
     a_recursion,
     build_fr_ddfao,
@@ -45,4 +48,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed early, as in `| head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

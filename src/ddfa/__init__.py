@@ -84,7 +84,6 @@ from .sequences import (
     reduced_value_sequence,
     t_sequence,
     thue_morse,
-    write_b_file,
 )
 
 __version__ = "0.1.0"

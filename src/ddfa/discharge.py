@@ -173,7 +173,12 @@ def reduced_delta_c(
     unvalued one stays a formal (state, charge) pair, except that a zero
     charge always collapses to the number 0.
     """
-    state, charge = delta_c(auto, q, word)
+    return _reduce(valuation, *delta_c(auto, q, word))
+
+
+def _reduce(
+    valuation: Mapping[str, Fraction] | None, state: str, charge: Fraction
+) -> ReducedResult:
     if valuation is not None and state in valuation:
         return ReducedResult(None, valuation[state] * charge)
     if charge == 0:
@@ -203,10 +208,9 @@ def run_record(auto: Automaton, start: str, word, valuation=None) -> RunRecord:
     word = tuple(word)
     snapshots = charge_trajectory(auto, start, word)
     state, vector = snapshots[-1]
-    reduced = None
-    if valuation is not None:
-        reduced = reduced_delta_c(auto, valuation, start, word)
-    return RunRecord(word, snapshots, state, vector[state], reduced)
+    charge = vector[state]
+    reduced = None if valuation is None else _reduce(valuation, state, charge)
+    return RunRecord(word, snapshots, state, charge, reduced)
 
 
 def equal_split_rules(base: Automaton) -> DischargeRuleSet:

@@ -74,10 +74,6 @@ def parse_rational(value, where: str) -> Fraction:
     raise DocumentError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True)
 class AutomatonDocument:
     """A parsed, fully validated automaton file."""
@@ -242,7 +238,7 @@ def serialize_document(doc: AutomatonDocument) -> str:
         "start": auto.start,
     }
     if auto.output is not None:
-        obj["output"] = {q: format_rational(auto.output[q]) for q in auto.states}
+        obj["output"] = {q: str(auto.output[q]) for q in auto.states}
     else:
         obj["accepting"] = [q for q in auto.states if q in auto.accepting]
     obj["transitions"] = [
@@ -254,12 +250,10 @@ def serialize_document(doc: AutomatonDocument) -> str:
         obj["discharge"] = [
             {
                 "state": q,
-                "current": {
-                    s: format_rational(rules.current[(q, s)]) for s in auto.alphabet
-                },
+                "current": {s: str(rules.current[(q, s)]) for s in auto.alphabet},
                 "notCurrent": {
                     s: {
-                        t: format_rational(rules.not_current[(q, s, t)])
+                        t: str(rules.not_current[(q, s, t)])
                         for t in auto.alphabet
                         if t != s
                     }
@@ -270,7 +264,7 @@ def serialize_document(doc: AutomatonDocument) -> str:
         ]
     if doc.valuation is not None:
         obj["valuation"] = {
-            q: format_rational(doc.valuation[q]) for q in auto.states if q in doc.valuation
+            q: str(doc.valuation[q]) for q in auto.states if q in doc.valuation
         }
     return json.dumps(obj, indent=2) + "\n"
 

@@ -18,10 +18,9 @@ Every producer is exact: Fraction or int, never float.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Mapping
 
 from .automata import Automaton, base_k_word, build_tm_dfao, dfao_output
@@ -29,30 +28,23 @@ from .discharge import delta_c, reduced_delta_c
 
 
 class Sequence:
-    """Deterministic indexed producer ``n -> value`` with a memo table.
+    """Deterministic indexed producer ``n -> value``.
 
-    Reads probe the memo without locking; writes take a lock. A racing
-    duplicate computation is harmless since terms are deterministic.
+    A plain view: ``term(n)`` checks ``start`` and calls the term function.
+    Memos live with the producers, one per term value: the recursions keep
+    module-level caches, ``e_sequence`` has its own, charge sequences cache
+    per instance and b-files read their table.
     """
 
     def __init__(self, term_fn: Callable[[int], object], start: int = 0, name: str = ""):
         self._fn = term_fn
-        self._memo: dict[int, object] = {}
-        self._lock = threading.Lock()
         self.start = start
         self.name = name
 
     def term(self, n: int):
         if n < self.start:
             raise ValueError(f"sequence {self.name or '?'} starts at {self.start}, got {n}")
-        try:
-            return self._memo[n]
-        except KeyError:
-            pass
-        value = self._fn(n)
-        with self._lock:
-            self._memo[n] = value
-        return value
+        return self._fn(n)
 
     __call__ = term
 
@@ -79,6 +71,7 @@ def final_charge_sequence(auto: Automaton, base: int) -> Sequence:
     _check_base(auto, base)
     start = auto.start
 
+    @cache
     def term(n: int) -> Fraction:
         return delta_c(auto, start, base_k_word(n, base)).final_charge
 
@@ -92,6 +85,7 @@ def reduced_value_sequence(
     _check_base(auto, base)
     start = auto.start
 
+    @cache
     def term(n: int) -> Fraction:
         result = reduced_delta_c(auto, valuation, start, base_k_word(n, base))
         if not result.is_numeric:
@@ -221,6 +215,7 @@ def d_shape_closed_form(n: int) -> Fraction:
     return 1 - Fraction(1, 2 ** (zeros + 2))
 
 
+@cache
 def e_sequence(n: int) -> int:
     """Integer scaling of d(n): its reduced numerator.
 
@@ -279,23 +274,23 @@ def thue_morse(n: int) -> int:
 
 
 def builtin_sequence(name: str) -> Sequence:
-    """Fresh memoizing producer for one of the builtin sequence names."""
-    factories: dict[str, tuple[Callable[[int], object], int]] = {
-        "a": (a_recursion, 0),
-        "b": (lambda n: a_recursion(n).numerator, 0),
-        "d": (d_shape_closed_form, 0),
-        "e": (e_sequence, 0),
-        "t": (thue_morse, 0),
-        "tcal": (t_sequence, 0),
-        "a131271": (_a131271_flat, 0),
+    """Fresh producer for one of the builtin sequence names."""
+    term_fns: dict[str, Callable[[int], object]] = {
+        "a": a_recursion,
+        "b": lambda n: a_recursion(n).numerator,
+        "d": d_shape_closed_form,
+        "e": e_sequence,
+        "t": thue_morse,
+        "tcal": t_sequence,
+        "a131271": _a131271_flat,
     }
     try:
-        fn, start = factories[name]
+        fn = term_fns[name]
     except KeyError:
         raise ValueError(
-            f"unknown builtin sequence {name!r}; expected one of {sorted(factories)}"
+            f"unknown builtin sequence {name!r}; expected one of {sorted(term_fns)}"
         ) from None
-    return Sequence(fn, start=start, name=name)
+    return Sequence(fn, name=name)
 
 
 BUILTIN_SEQUENCE_NAMES = ("a", "b", "d", "e", "t", "tcal", "a131271")
@@ -307,11 +302,6 @@ def b_file_text(seq: Sequence, count: int, offset: int = 0) -> str:
         raise ValueError(f"count must be >= 1, got {count}")
     lines = [f"{n} {seq.term(n)}" for n in range(offset, offset + count)]
     return "\n".join(lines) + "\n"
-
-
-def write_b_file(path, seq: Sequence, count: int, offset: int = 0) -> None:
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(b_file_text(seq, count, offset))
 
 
 def read_b_file(text: str, name: str = "file") -> Sequence:
@@ -337,5 +327,4 @@ def read_b_file(text: str, name: str = "file") -> Sequence:
         except KeyError:
             raise ValueError(f"index {n} not present in sequence file") from None
 
-    seq = Sequence(term, start=min(table, default=0), name=name)
-    return seq
+    return Sequence(term, start=min(table, default=0), name=name)

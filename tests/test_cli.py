@@ -292,6 +292,25 @@ class TestRunRecord:
         assert (record.final_state, record.final_charge) == ("q2", Fraction(7, 8))
         assert record.reduced is not None and record.reduced.value == Fraction(7, 8)
 
+    @pytest.mark.parametrize("document, valued", [(TM, False), (FR, True)],
+                             ids=["tm_ddfa", "fr_ddfao"])
+    def test_one_step_per_symbol(self, monkeypatch, document, valued):
+        import ddfa.discharge
+
+        steps = []
+        original = ddfa.discharge.charge_step
+
+        def counting(*args):
+            steps.append(args[3])
+            return original(*args)
+
+        monkeypatch.setattr(ddfa.discharge, "charge_step", counting)
+        doc = ddfa.parse_document(Path(document).read_text(encoding="utf-8"))
+        auto = doc.automaton
+        record = ddfa.run_record(auto, auto.start, "1010", doc.valuation)
+        assert (record.reduced is not None) == valued
+        assert steps == list("1010")
+
     def test_no_valuation_no_reduced(self):
         from ddfa.discharge import build_tm_ddfa, run_record
 

@@ -257,6 +257,38 @@ class TestChargeSequences:
         seq = reduced_value_sequence(build_fr_ddfao(), valuation, 2)
         assert seq.prefix(17) == D_PREFIX
 
+    @staticmethod
+    def _count_delta_c(monkeypatch):
+        import ddfa.discharge
+        import ddfa.sequences
+
+        calls = []
+        original = ddfa.discharge.delta_c
+
+        def counting(auto, q, word):
+            calls.append(tuple(word))
+            return original(auto, q, word)
+
+        for module in (ddfa.discharge, ddfa.sequences):
+            monkeypatch.setattr(module, "delta_c", counting)
+        return calls
+
+    def test_final_charge_runs_once_per_index(self, monkeypatch):
+        calls = self._count_delta_c(monkeypatch)
+        seq = final_charge_sequence(build_tm_ddfa(), 2)
+        assert seq.prefix(15) == A_PREFIX
+        assert seq.prefix(15) == A_PREFIX
+        assert seq(7) == A_PREFIX[7]
+        assert len(calls) == 15
+
+    def test_reduced_value_runs_once_per_index(self, monkeypatch):
+        calls = self._count_delta_c(monkeypatch)
+        valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
+        seq = reduced_value_sequence(build_fr_ddfao(), valuation, 2)
+        assert seq.prefix(17) == D_PREFIX
+        assert seq.prefix(17) == D_PREFIX
+        assert len(calls) == 17
+
     def test_reduced_value_sequence_missing_state(self):
         seq = reduced_value_sequence(build_fr_ddfao(), {"q0": F(1)}, 2)
         with pytest.raises(ValueError, match="no assigned value"):
@@ -264,17 +296,12 @@ class TestChargeSequences:
 
 
 class TestSequenceWrapper:
-    def test_memoization_returns_same_value(self):
-        calls = []
-
-        def term(n):
-            calls.append(n)
-            return n * n
-
-        seq = Sequence(term)
-        assert seq(4) == 16
-        assert seq(4) == 16
-        assert calls == [4]
+    def test_builtin_e_instances_share_one_cache(self):
+        first, second = builtin_sequence("e"), builtin_sequence("e")
+        value = first(777)
+        hits = e_sequence.cache_info().hits
+        assert second(777) == value
+        assert e_sequence.cache_info().hits == hits + 1
 
     def test_start_enforced(self):
         seq = Sequence(lambda n: n, start=1)
