@@ -1,12 +1,14 @@
 """Command line front end: validate, run, sequence, verify, search, kernel, dot.
 
 Exit codes are a stable contract for scripting: 0 on success or a verified
-check, 1 when a verification fails, 2 on any input error.
+check, 1 when a verification fails or the reader of stdout closes early, 2 on
+any input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -152,18 +154,10 @@ def cmd_verify(args) -> int:
     return EXIT_FAILED
 
 
-def _scaled_charge_sequence(name: str) -> Sequence:
-    if name == "tm_ddfa":
-        return numerator_sequence(final_charge_sequence(build_tm_ddfa(), 2))
-    return numerator_sequence(final_charge_sequence(build_fr_ddfao(), 2))
-
-
 def _cmd_conjecture(args) -> int:
-    if args.conjecture != "scaled-charges":
-        raise DocumentError(f"unknown conjecture {args.conjecture!r}")
     ok = True
-    for name in ("tm_ddfa", "fr_ddfao"):
-        seq = _scaled_charge_sequence(name)
+    for name, build in (("tm_ddfa", build_tm_ddfa), ("fr_ddfao", build_fr_ddfao)):
+        seq = numerator_sequence(final_charge_sequence(build(), 2))
         found = search_relation_menus(
             seq, k=2, E=1, m=1, level=2, coeff_bound=args.coeff_bound, limit=args.max
         )
@@ -303,10 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (DocumentError, SpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:  # the reader closed early, as in `| head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

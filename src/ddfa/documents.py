@@ -114,6 +114,8 @@ def _load_json(text: str):
         raise DocumentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DocumentError("document nests too deeply") from None
 
 
 def parse_document(text: str, check: bool = True) -> AutomatonDocument:

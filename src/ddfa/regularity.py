@@ -99,6 +99,20 @@ class QuasiRegularitySpec:
     menus: Mapping[tuple[int, int], RelationMenu]
 
 
+def _below_power(x: int, k: int, e: int) -> bool:
+    """Whether x < k**e for k >= 2, without forming a power above k*x.
+
+    The exponent can come from a document, so k**e itself can be far too
+    large to compute; the loop stops after at most x.bit_length() + 1 steps.
+    """
+    power = 1
+    for _ in range(e):
+        if power > x:
+            return True
+        power *= k
+    return x < power
+
+
 def validate_spec(spec: QuasiRegularitySpec) -> None:
     """Raise SpecError on any structural violation (vacuous menus included)."""
     if spec.k < 2:
@@ -112,7 +126,7 @@ def validate_spec(spec: QuasiRegularitySpec) -> None:
             raise SpecError(f"menu keyed ({e}, {r}) describes level ({menu.e}, {menu.r})")
         if e <= spec.E:
             raise SpecError(f"menu level e = {e} must exceed E = {spec.E}")
-        if not 0 <= r < spec.k**e:
+        if r < 0 or not _below_power(r, spec.k, e):
             raise SpecError(f"offset r = {r} out of range for level e = {e}")
         if not menu.options:
             raise SpecError(f"menu ({e}, {r}) has no options")
@@ -122,7 +136,7 @@ def validate_spec(spec: QuasiRegularitySpec) -> None:
                     raise SpecError(
                         f"term exponent f = {t.f} exceeds E = {spec.E} in menu ({e}, {r})"
                     )
-                if t.f < 0 or not 0 <= t.b <= spec.k**t.f - 1:
+                if t.f < 0 or t.b < 0 or not _below_power(t.b, spec.k, t.f):
                     raise SpecError(
                         f"term offset b = {t.b} out of range for f = {t.f} in menu ({e}, {r})"
                     )
@@ -348,12 +362,17 @@ def search_relation_menus(
         raise SpecError(f"search level e = {level} must exceed E = {E}")
     if limit < m:
         raise SpecError(f"limit {limit} is below start index m = {m}")
-    basis = [(f, b) for f in range(E + 1) for b in range(k**f)]
+    if k < 2:
+        raise SpecError(f"base k must be >= 2, got {k}")
     span = 2 * coeff_bound + 1
-    if span ** (len(basis) + 1) > 2_000_000:
-        raise SpecError(
-            f"search space {span}^{len(basis) + 1} too large; reduce coeff bound or E"
-        )
+    size = 1  # the constant plus each basis term s(k^f n + b), counted per f
+    for f in range(E + 1):
+        size += k**f
+        if _below_power(2_000_000, span, size):
+            raise SpecError(
+                f"search space {span}^{size} or more too large; reduce coeff bound or E"
+            )
+    basis = [(f, b) for f in range(E + 1) for b in range(k**f)]
     result = SearchResult(k, E, m, level, coeff_bound, limit)
     ns = range(m, limit + 1)
     rows = [tuple(seq(k**f * n + b) for f, b in basis) for n in ns]

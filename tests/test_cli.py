@@ -41,6 +41,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv, **kwargs):
+    """Run `python -m ddfa.cli` in a child process against this checkout."""
+    src = str(Path(ddfa.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    env.update(kwargs.pop("env", {}))
+    return subprocess.run([sys.executable, *argv], env=env, text=True, **kwargs)
+
+
 class TestRun:
     def test_tm_final_line(self, capsys):
         code, out, _ = run_cli(capsys, "run", TM, "1010")
@@ -145,15 +154,37 @@ class TestValidate:
             assert f"{block}[0].{field}: expected a string" in err
 
     def test_module_entry_point_runs_without_warnings(self):
-        src = str(Path(ddfa.__file__).resolve().parent.parent)
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-        result = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ddfa.cli", "validate", TM],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        result = run_module("-W", "error::RuntimeWarning", "-m", "ddfa.cli", "validate", TM,
+                            capture_output=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert "valid" in result.stdout
+
+    @pytest.mark.parametrize("argv", [["run", "DOC", "1"], ["validate", "DOC"],
+                                      ["verify", "--seq", "t", "--spec", "DOC"]],
+                             ids=["run", "validate", "verify"])
+    def test_deeply_nested_document_exit_two(self, capsys, tmp_path, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, _, err = run_cli(capsys, *(str(deep) if a == "DOC" else a for a in argv))
+        assert code == 2
+        assert "nests too deeply" in err
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["kernel", "--seq", "t", "--depth", "2"],
+                                      ["sequence", TM, "--count", "5"]],
+                             ids=["kernel", "sequence"])
+    def test_reader_closing_early_exits_one_quietly(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first line is written
+        try:
+            result = run_module("-m", "ddfa.cli", *argv, env={"PYTHONUNBUFFERED": unbuffered},
+                                stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert result.stderr == ""
+        assert result.returncode == 1
 
 
 class TestVerify:
@@ -182,6 +213,21 @@ class TestVerify:
         )
         assert code == 1
         assert "not verified" in out
+
+    @pytest.mark.parametrize("E,menu", [
+        (0, {"e": 10**12, "r": 0, "options": []}),
+        (10**12, {"e": 10**12 + 1, "r": 0, "options": [{"constant": 0, "terms": [
+            {"coeff": 1, "f": 10**12, "b": 0}, {"coeff": 1, "f": 1, "b": -1}]}]}),
+    ], ids=["level", "term"])
+    def test_huge_exponents_rejected_without_powers(self, tmp_path, E, menu):
+        # forming k**e here takes minutes; the timeout keeps that from hanging the suite
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps({"kind": "quasi-spec", "k": 3, "E": E, "m": 0,
+                                    "menus": [menu]}))
+        result = run_module("-m", "ddfa.cli", "verify", "--seq", "t", "--spec", str(spec),
+                            capture_output=True, timeout=30)
+        assert result.returncode == 2
+        assert "invalid spec" in result.stderr
 
     def test_missing_arguments(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--seq", "t")

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddfa.discharge import build_fr_ddfao, build_tm_ddfa, delta_c
 from ddfa.documents import (
@@ -15,7 +16,7 @@ from ddfa.documents import (
     serialize_spec_document,
 )
 from ddfa.regularity import verify_quasi_k_regular
-from ddfa.sequences import builtin_sequence
+from ddfa.sequences import builtin_sequence, read_b_file
 
 F = Fraction
 
@@ -157,3 +158,62 @@ class TestSpecDocuments:
     def test_missing_corpus_file(self):
         with pytest.raises(DocumentError, match="no corpus file"):
             corpus_path("nonexistent.json")
+
+
+CORPUS_DOCUMENTS = [
+    "tm_ddfa.json", "fr_ddfao.json", "tm_dfao.json",
+    "tcal_quasi_spec.json", "e_quasi_spec.json", "t_singleton_spec.json",
+]
+
+# leaves include names and rationals the corpus uses, so mutants get past
+# the structural checks into the semantic ones
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=6) | st.sampled_from(["0", "1", "q0", "q1", "1/2", "1/0", "-1/2"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["e", "r", "f", "b", "kind", "states"]) | st.text(max_size=4),
+        inner, max_size=4),
+    max_leaves=8,
+)
+
+# "n value" lines with number-like tokens, which arbitrary text rarely forms
+B_FILE_TOKENS = (
+    st.integers(-3, 9).map(str)
+    | st.tuples(st.integers(-3, 9), st.integers(-2, 3)).map(lambda pq: "%d/%d" % pq)
+    | st.text("0123456789/-.e", min_size=1, max_size=5)
+)
+B_FILE_LINES = st.lists(st.tuples(B_FILE_TOKENS, B_FILE_TOKENS).map(" ".join),
+                        max_size=5).map("\n".join)
+
+
+def mutate(data, value):
+    """Replace one node of a JSON value, the root included, by a random value."""
+    if isinstance(value, (list, dict)) and value and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(range(len(value)) if isinstance(value, list)
+                                        else sorted(value)))
+        value[key] = mutate(data, value[key])
+        return value
+    return data.draw(JSON_VALUES)
+
+
+class TestFuzzedReaders:
+    """Whatever the input, the readers fail only with ValueError (exit 2)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(CORPUS_DOCUMENTS), data=st.data())
+    def test_mutated_corpus_documents(self, name, data):
+        text = json.dumps(mutate(data, json.loads(corpus_text(name))))
+        for parse in (parse_document, parse_spec_document):
+            try:
+                parse(text)
+            except ValueError:  # DocumentError and SpecError included
+                pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.text(max_size=40) | B_FILE_LINES)
+    def test_arbitrary_b_file_text(self, text):
+        try:
+            seq = read_b_file(text)
+            seq(seq.start)
+        except ValueError:
+            pass

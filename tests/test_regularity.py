@@ -249,6 +249,10 @@ class TestSearch:
             search_relation_menus(seq, 2, 1, 0, 1, 1, 64)
         with pytest.raises(SpecError, match="too large"):
             search_relation_menus(seq, 2, 3, 0, 4, 9, 64)
+        with pytest.raises(SpecError, match="too large"):
+            search_relation_menus(seq, 2, 30, 0, 31, 8, 64)
+        with pytest.raises(SpecError, match="base k"):
+            search_relation_menus(seq, 1, 0, 0, 1, 1, 64)
 
 
 class TestKernel:
