@@ -166,8 +166,8 @@ def to_dot(auto: Automaton) -> str:
 
     Accepting states are double-circled, the start state gets an arrow from
     an invisible point node, and discharging variants annotate each edge
-    with its current-symbol weight as "s: p/q". Node and edge order follow
-    (state index, symbol index), so output is byte-stable.
+    with its weight when its own symbol is read, as "s: p/q". Node and edge
+    order follow (state index, symbol index), so output is byte-stable.
     """
     lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     for q in auto.states:
@@ -179,7 +179,7 @@ def to_dot(auto: Automaton) -> str:
     lines.append(f'  __start -> "{auto.start}";')
     for q in auto.states:
         for s in auto.alphabet:
-            label = s if auto.rules is None else f"{s}: {auto.rules.current[(q, s)]}"
+            label = s if auto.rules is None else f"{s}: {auto.rules.weights[(q, s, s)]}"
             lines.append(f'  "{q}" -> "{auto.transition[(q, s)]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

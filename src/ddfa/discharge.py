@@ -1,10 +1,9 @@
 """Charge propagation on automata: rule sets, charge-extended runs, reduced forms.
 
-A discharging automaton carries, for every (state, symbol) pair, a weight
-for the edge actually taken ("current") and one weight per remaining
-out-edge ("not current"); each such family sums to exactly 1. Reading a
-symbol moves the whole charge sitting on the current state along its
-out-edges according to those weights, while every other state keeps its
+A discharging automaton carries, for every state and symbol read, one
+weight per out-edge of that state; each such family sums to exactly 1.
+Reading a symbol moves the whole charge sitting on the current state along
+its out-edges according to those weights, while every other state keeps its
 charge and only receives. All arithmetic is exact rational; no floats.
 """
 
@@ -12,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
 from .automata import Automaton, ValidationReport, build_tm_dfa
@@ -26,15 +26,13 @@ ChargeVector = dict[str, Fraction]
 class DischargeRuleSet:
     """Edge weights of a discharging automaton.
 
-    ``current[(q, s)]`` weights the edge taken when symbol ``s`` is read in
-    state ``q``. ``not_current[(q, s, t)]`` weights the edge labeled
-    ``t != s`` in the same situation; the second key component records the
-    symbol being read, since the not-current weights are scoped per
-    (state, read symbol) family.
+    ``weights[(q, s, t)]`` is the share of the charge on state ``q`` that
+    moves along the out-edge labeled ``t`` when symbol ``s`` is read in
+    ``q``; ``t == s`` is the edge taken. There is one key per state and
+    pair of symbols.
     """
 
-    current: Mapping[tuple[str, str], Fraction]
-    not_current: Mapping[tuple[str, str, str], Fraction]
+    weights: Mapping[tuple[str, str, str], Fraction]
 
 
 class ChargeResult(NamedTuple):
@@ -68,38 +66,21 @@ class ReducedResult:
 
 def validate_rules(auto: Automaton) -> ValidationReport:
     """Check the discharge rule set: exact coverage, nonnegativity, unit sums."""
-    rules = auto.rules
+    weights = auto.rules.weights
     report = ValidationReport("discharge rules")
-    expected_current = {(q, s) for q in auto.states for s in auto.alphabet}
-    expected_not = {
-        (q, s, t)
-        for q in auto.states
-        for s in auto.alphabet
-        for t in auto.alphabet
-        if t != s
-    }
-    for key in expected_current - set(rules.current):
-        report.add(f"missing current weight for {key}")
-    for key in set(rules.current) - expected_current:
-        report.add(f"unexpected current weight key {key}")
-    for key in expected_not - set(rules.not_current):
-        report.add(f"missing not-current weight for {key}")
-    for key in set(rules.not_current) - expected_not:
-        report.add(f"unexpected not-current weight key {key}")
-    for key, w in list(rules.current.items()) + list(rules.not_current.items()):
+    expected = set(product(auto.states, auto.alphabet, auto.alphabet))
+    for key in expected - set(weights):
+        report.add(f"missing weight for {key}")
+    for key in set(weights) - expected:
+        report.add(f"unexpected weight key {key}")
+    for key, w in weights.items():
         if w < 0:
             report.add(f"negative weight {w} at {key}")
     if report.ok:
-        for q in auto.states:
-            for s in auto.alphabet:
-                total = rules.current[(q, s)] + sum(
-                    (rules.not_current[(q, s, t)] for t in auto.alphabet if t != s),
-                    ZERO,
-                )
-                if total != 1:
-                    report.add(
-                        f"weights for ({q}, {s}) sum to {total}, must sum to exactly 1"
-                    )
+        for q, s in product(auto.states, auto.alphabet):
+            total = sum((weights[(q, s, t)] for t in auto.alphabet), ZERO)
+            if total != 1:
+                report.add(f"weights for ({q}, {s}) sum to {total}, must sum to exactly 1")
     return report
 
 
@@ -115,25 +96,20 @@ def charge_step(
 ) -> tuple[str, ChargeVector]:
     """Read one symbol: move the current state's charge along its out-edges.
 
-    The charge on ``current`` is split between the edge taken (current
-    weight) and the remaining out-edges (not-current weights); self-loops
-    send charge back to ``current``. Every other entry changes only by
-    receiving. Returns the new current state and a fresh vector.
+    The charge on ``current`` is split over the out-edges by the weights
+    for the symbol read; self-loops send charge back to ``current``. Every
+    other entry changes only by receiving. Returns the new current state
+    and a fresh vector.
     """
     if symbol not in auto.alphabet:
         raise ValueError(f"symbol {symbol!r} not in alphabet")
     moving = vector[current]
     new = dict(vector)
     new[current] = ZERO
-    nxt = auto.transition[(current, symbol)]
-    new[nxt] += moving * auto.rules.current[(current, symbol)]
+    transition, weights = auto.transition, auto.rules.weights
     for t in auto.alphabet:
-        if t == symbol:
-            continue
-        new[auto.transition[(current, t)]] += moving * auto.rules.not_current[
-            (current, symbol, t)
-        ]
-    return nxt, new
+        new[transition[(current, t)]] += moving * weights[(current, symbol, t)]
+    return transition[(current, symbol)], new
 
 
 def charge_trajectory(
@@ -215,29 +191,14 @@ def run_record(auto: Automaton, start: str, word, valuation=None) -> RunRecord:
 
 def equal_split_rules(base: Automaton) -> DischargeRuleSet:
     """Every (state, symbol) family splits evenly over the |alphabet| out-edges."""
-    share = Fraction(1, len(base.alphabet))
-    current = {(q, s): share for q in base.states for s in base.alphabet}
-    not_current = {
-        (q, s, t): share
-        for q in base.states
-        for s in base.alphabet
-        for t in base.alphabet
-        if t != s
-    }
-    return DischargeRuleSet(current, not_current)
+    keys = product(base.states, base.alphabet, base.alphabet)
+    return DischargeRuleSet(dict.fromkeys(keys, Fraction(1, len(base.alphabet))))
 
 
 def degenerate_rules(base: Automaton) -> DischargeRuleSet:
-    """Current weight 1, not-current 0: charge follows the run undivided."""
-    current = {(q, s): ONE for q in base.states for s in base.alphabet}
-    not_current = {
-        (q, s, t): ZERO
-        for q in base.states
-        for s in base.alphabet
-        for t in base.alphabet
-        if t != s
-    }
-    return DischargeRuleSet(current, not_current)
+    """Weight 1 on the edge taken, 0 elsewhere: charge follows the run undivided."""
+    keys = product(base.states, base.alphabet, base.alphabet)
+    return DischargeRuleSet({(q, s, t): ONE if t == s else ZERO for q, s, t in keys})
 
 
 def degenerate_ddfa(base: Automaton) -> Automaton:

@@ -107,6 +107,12 @@ def _name(value, where: str) -> str:
     return value
 
 
+def _integer(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DocumentError(f"{where}: expected an integer")
+    return value
+
+
 def _load_json(text: str):
     try:
         return json.loads(text)
@@ -165,8 +171,7 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
     if with_rules:
         if not isinstance(obj["discharge"], list):
             raise DocumentError("discharge: expected a list")
-        current: dict[tuple[str, str], Fraction] = {}
-        not_current: dict[tuple[str, str, str], Fraction] = {}
+        weights: dict[tuple[str, str, str], Fraction] = {}
         seen_states: set[str] = set()
         for i, entry in enumerate(obj["discharge"]):
             where = f"discharge[{i}]"
@@ -181,17 +186,20 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
             if not isinstance(entry["current"], dict):
                 raise DocumentError(f"{where}.current: expected an object")
             for s, w in entry["current"].items():
-                current[(q, s)] = parse_rational(w, f"{where}.current[{s}]")
+                weights[(q, s, s)] = parse_rational(w, f"{where}.current[{s}]")
             if not isinstance(entry["notCurrent"], dict):
                 raise DocumentError(f"{where}.notCurrent: expected an object")
             for s, inner in entry["notCurrent"].items():
                 if not isinstance(inner, dict):
                     raise DocumentError(f"{where}.notCurrent[{s}]: expected an object")
                 for t, w in inner.items():
-                    not_current[(q, s, t)] = parse_rational(
-                        w, f"{where}.notCurrent[{s}][{t}]"
-                    )
-        rules = DischargeRuleSet(current, not_current)
+                    if t == s:
+                        raise DocumentError(
+                            f"{where}.notCurrent[{s}]: names the read symbol {s!r}, "
+                            "whose weight belongs in current"
+                        )
+                    weights[(q, s, t)] = parse_rational(w, f"{where}.notCurrent[{s}][{t}]")
+        rules = DischargeRuleSet(weights)
 
     if with_output:
         if not isinstance(obj["output"], dict):
@@ -252,13 +260,9 @@ def serialize_document(doc: AutomatonDocument) -> str:
         obj["discharge"] = [
             {
                 "state": q,
-                "current": {s: str(rules.current[(q, s)]) for s in auto.alphabet},
+                "current": {s: str(rules.weights[(q, s, s)]) for s in auto.alphabet},
                 "notCurrent": {
-                    s: {
-                        t: str(rules.not_current[(q, s, t)])
-                        for t in auto.alphabet
-                        if t != s
-                    }
+                    s: {t: str(rules.weights[(q, s, t)]) for t in auto.alphabet if t != s}
                     for s in auto.alphabet
                 },
             }
@@ -286,9 +290,7 @@ def parse_spec_document(text: str) -> QuasiRegularitySpec:
         raise DocumentError(f"kind must be {SPEC_KIND!r}, got {obj.get('kind')!r}")
     _check_keys(obj, {"kind", "k", "E", "m", "menus"}, {"kind", "k", "E", "m", "menus"},
                 "document")
-    for name in ("k", "E", "m"):
-        if not isinstance(obj[name], int) or isinstance(obj[name], bool):
-            raise DocumentError(f"{name}: expected an integer")
+    k, E, m = (_integer(obj[name], name) for name in ("k", "E", "m"))
     if not isinstance(obj["menus"], list):
         raise DocumentError("menus: expected a list")
     menus: dict[tuple[int, int], RelationMenu] = {}
@@ -297,9 +299,7 @@ def parse_spec_document(text: str) -> QuasiRegularitySpec:
         if not isinstance(entry, dict):
             raise DocumentError(f"{where}: expected an object")
         _check_keys(entry, {"e", "r", "options"}, {"e", "r", "options"}, where)
-        e, r = entry["e"], entry["r"]
-        if not isinstance(e, int) or not isinstance(r, int):
-            raise DocumentError(f"{where}: e and r must be integers")
+        e, r = _integer(entry["e"], f"{where}.e"), _integer(entry["r"], f"{where}.r")
         if (e, r) in menus:
             raise DocumentError(f"{where}: duplicate menu for level ({e}, {r})")
         if not isinstance(entry["options"], list):
@@ -310,8 +310,7 @@ def parse_spec_document(text: str) -> QuasiRegularitySpec:
             if not isinstance(opt, dict):
                 raise DocumentError(f"{owhere}: expected an object")
             _check_keys(opt, {"constant", "terms"}, {"constant", "terms"}, owhere)
-            if not isinstance(opt["constant"], int) or isinstance(opt["constant"], bool):
-                raise DocumentError(f"{owhere}.constant: expected an integer")
+            constant = _integer(opt["constant"], f"{owhere}.constant")
             if not isinstance(opt["terms"], list):
                 raise DocumentError(f"{owhere}.terms: expected a list")
             terms = []
@@ -320,13 +319,12 @@ def parse_spec_document(text: str) -> QuasiRegularitySpec:
                 if not isinstance(term, dict):
                     raise DocumentError(f"{twhere}: expected an object")
                 _check_keys(term, {"coeff", "f", "b"}, {"coeff", "f", "b"}, twhere)
-                for name in ("coeff", "f", "b"):
-                    if not isinstance(term[name], int) or isinstance(term[name], bool):
-                        raise DocumentError(f"{twhere}.{name}: expected an integer")
-                terms.append(RelationTerm(term["coeff"], term["f"], term["b"]))
-            options.append(AffineCombination(opt["constant"], tuple(terms)))
+                terms.append(RelationTerm(
+                    *(_integer(term[name], f"{twhere}.{name}") for name in ("coeff", "f", "b"))
+                ))
+            options.append(AffineCombination(constant, tuple(terms)))
         menus[(e, r)] = RelationMenu(e, r, tuple(options))
-    spec = QuasiRegularitySpec(obj["k"], obj["E"], obj["m"], menus)
+    spec = QuasiRegularitySpec(k, E, m, menus)
     try:
         validate_spec(spec)
     except SpecError as exc:

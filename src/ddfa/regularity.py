@@ -21,6 +21,10 @@ from typing import Callable, Mapping
 
 IntSequence = Callable[[int], int]
 
+# Most term evaluations (or search candidates) one call may plan; checked
+# before any work starts, so a huge exponent fails fast instead of running.
+WORK_LIMIT = 2_000_000
+
 
 class SpecError(ValueError):
     """A relation spec violates its structural preconditions."""
@@ -111,6 +115,14 @@ def _below_power(x: int, k: int, e: int) -> bool:
             return True
         power *= k
     return x < power
+
+
+def _check_work(what: str, k: int, e: int, count: int) -> None:
+    """Raise SpecError if k**e * count (count >= 1) exceeds WORK_LIMIT."""
+    if _below_power(WORK_LIMIT // count, k, e):
+        raise SpecError(
+            f"{what} needs {k}^{e} * {count} evaluations, over the limit of {WORK_LIMIT}"
+        )
 
 
 def validate_spec(spec: QuasiRegularitySpec) -> None:
@@ -242,6 +254,7 @@ def verify_quasi_k_regular(
         raise SpecError(f"depth must be >= 1, got {depth}")
     if limit < spec.m:
         raise SpecError(f"limit {limit} is below start index m = {spec.m}")
+    _check_work("verify", spec.k, spec.E + depth, limit - spec.m + 1)
     resolver = _MenuResolver(spec)
     report = VerificationReport(verified=True, depth=depth, checked_to=limit)
     for e in range(spec.E + 1, spec.E + depth + 1):
@@ -368,10 +381,11 @@ def search_relation_menus(
     size = 1  # the constant plus each basis term s(k^f n + b), counted per f
     for f in range(E + 1):
         size += k**f
-        if _below_power(2_000_000, span, size):
+        if _below_power(WORK_LIMIT, span, size):
             raise SpecError(
                 f"search space {span}^{size} or more too large; reduce coeff bound or E"
             )
+    _check_work("search", k, level, limit - m + 1)
     basis = [(f, b) for f in range(E + 1) for b in range(k**f)]
     result = SearchResult(k, E, m, level, coeff_bound, limit)
     ns = range(m, limit + 1)
@@ -463,6 +477,9 @@ def k_kernel(seq: IntSequence, k: int, depth: int, window: int = 64) -> KernelRe
         raise ValueError(f"depth must be >= 1, got {depth}")
     if window < 16:
         raise ValueError(f"window must be >= 16, got {window}")
+    if k < 2:
+        raise ValueError(f"base k must be >= 2, got {k}")
+    _check_work("kernel", k, depth, window)
     report = KernelReport(k, depth, window)
     seen: set[tuple[int, ...]] = set()
     basis: list[tuple[int, list[Fraction]]] = []

@@ -25,6 +25,7 @@ from typing import Callable, Mapping
 
 from .automata import Automaton, base_k_word, build_tm_dfao, dfao_output
 from .discharge import delta_c, reduced_delta_c
+from .documents import parse_rational
 
 
 class Sequence:
@@ -315,10 +316,7 @@ def read_b_file(text: str, name: str = "file") -> Sequence:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'n value', got {raw!r}")
         n = int(parts[0])
-        try:
-            value = Fraction(parts[1])
-        except ZeroDivisionError:
-            raise ValueError(f"line {lineno}: zero denominator in {raw!r}") from None
+        value = parse_rational(parts[1], f"line {lineno}")
         table[n] = int(value) if value.denominator == 1 else value
 
     def term(n: int):

@@ -26,19 +26,17 @@ def random_dfa(rng: random.Random, max_states: int = 6, max_symbols: int = 4) ->
 
 def random_rules(rng: random.Random, dfa: Automaton) -> DischargeRuleSet:
     """Random nonnegative rational weights, exact unit sum per (state, symbol)."""
-    current: dict[tuple[str, str], Fraction] = {}
-    not_current: dict[tuple[str, str, str], Fraction] = {}
+    weights: dict[tuple[str, str, str], Fraction] = {}
     for q in dfa.states:
         for s in dfa.alphabet:
             raw = [rng.randint(0, 8) for _ in dfa.alphabet]
             if sum(raw) == 0:
                 raw[rng.randrange(len(raw))] = 1
             total = sum(raw)
-            current[(q, s)] = Fraction(raw[0], total)
-            others = [t for t in dfa.alphabet if t != s]
-            for weight, t in zip(raw[1:], others):
-                not_current[(q, s, t)] = Fraction(weight, total)
-    return DischargeRuleSet(current, not_current)
+            edges = [s] + [t for t in dfa.alphabet if t != s]  # raw[0] on the edge taken
+            for weight, t in zip(raw, edges):
+                weights[(q, s, t)] = Fraction(weight, total)
+    return DischargeRuleSet(weights)
 
 
 def random_ddfa(rng: random.Random, **limits) -> Automaton:

@@ -153,6 +153,16 @@ class TestValidate:
             assert code == 2, argv
             assert f"{block}[0].{field}: expected a string" in err
 
+    def test_notcurrent_naming_read_symbol_exit_two(self, capsys, tmp_path):
+        obj = json.loads(corpus_path("tm_ddfa.json").read_text())
+        obj["discharge"][0]["notCurrent"]["0"]["0"] = "0"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        for argv in (["validate", str(bad)], ["run", str(bad), "1"]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert "notCurrent[0]: names the read symbol '0'" in err
+
     def test_module_entry_point_runs_without_warnings(self):
         result = run_module("-W", "error::RuntimeWarning", "-m", "ddfa.cli", "validate", TM,
                             capture_output=True, timeout=60)
@@ -310,6 +320,36 @@ class TestKernel:
         code, _, err = run_cli(capsys, "kernel", "--seq", str(path))
         assert code == 2
         assert "line 2: zero denominator" in err
+
+
+class TestWorkLimit:
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--seq", "t", "--spec", "HUGE_E", "--depth", "1", "--max", "4"],
+         "verify needs 2^1000000000001 * 5 evaluations"),
+        (["verify", "--seq", "t", "--spec", str(corpus_path("t_singleton_spec.json")),
+          "--depth", "30", "--max", "4"], "verify needs 2^30 * 5 evaluations"),
+        (["search", "--seq", "t", "--E", "0", "--level", "1000000000", "--max", "4"],
+         "search needs 2^1000000000 * 5 evaluations"),
+        (["kernel", "--seq", "t", "--depth", "40"], "kernel needs 2^40 * 64 evaluations"),
+        (["kernel", "--seq", "t", "--k", "1"], "base k must be >= 2"),
+        (["kernel", "--seq", "BFILE", "--depth", "1", "--window", "16"],
+         "line 1: '1e1000000' is not a rational literal"),
+    ], ids=["verify-huge-E", "verify-depth", "search-level", "kernel-depth", "kernel-k",
+            "bfile-exponent"])
+    def test_rejected_before_work_starts(self, tmp_path, argv, message):
+        # the timeout keeps a regression that starts the work from hanging the suite
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"kind": "quasi-spec", "k": 2, "E": 10**12, "m": 0,
+                                    "menus": [{"e": 10**12 + 1, "r": 0, "options": [
+                                        {"constant": 0, "terms": [
+                                            {"coeff": 1, "f": 0, "b": 0}]}]}]}))
+        bfile = tmp_path / "exp.txt"
+        bfile.write_text("0 1e1000000\n")
+        paths = {"HUGE_E": str(huge), "BFILE": str(bfile)}
+        result = run_module("-m", "ddfa.cli", *(paths.get(a, a) for a in argv),
+                            capture_output=True, timeout=30)
+        assert result.returncode == 2
+        assert message in result.stderr
 
 
 class TestDot:

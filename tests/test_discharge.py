@@ -41,21 +41,21 @@ def ddfa_and_word(draw):
         for s in alphabet
     }
     dfa = Automaton(states, alphabet, transition, states[draw(st.integers(0, n_states - 1))])
-    current, not_current = {}, {}
+    weights = {}
     for q in states:
         for s in alphabet:
             raw = [draw(st.integers(0, 5)) for _ in alphabet]
             if sum(raw) == 0:
                 raw[0] = 1
             total = sum(raw)
-            current[(q, s)] = F(raw[0], total)
-            for weight, t in zip(raw[1:], (t for t in alphabet if t != s)):
-                not_current[(q, s, t)] = F(weight, total)
+            edges = [s] + [t for t in alphabet if t != s]  # raw[0] on the edge taken
+            for weight, t in zip(raw, edges):
+                weights[(q, s, t)] = F(weight, total)
     word = tuple(
         alphabet[draw(st.integers(0, n_symbols - 1))]
         for _ in range(draw(st.integers(0, 24)))
     )
-    return replace(dfa, rules=DischargeRuleSet(current, not_current)), word
+    return replace(dfa, rules=DischargeRuleSet(weights)), word
 
 
 class TestValidateRules:
@@ -64,29 +64,27 @@ class TestValidateRules:
 
     def test_bad_sum_reported(self):
         tm = build_tm_ddfa()
-        current = dict(tm.rules.current)
-        not_current = dict(tm.rules.not_current)
-        current[("q0", "0")] = F(3, 4)
-        not_current[("q0", "0", "1")] = F(3, 4)
-        report = validate_rules(replace(tm, rules=DischargeRuleSet(current, not_current)))
+        weights = dict(tm.rules.weights)
+        weights[("q0", "0", "0")] = F(3, 4)
+        weights[("q0", "0", "1")] = F(3, 4)
+        report = validate_rules(replace(tm, rules=DischargeRuleSet(weights)))
         assert not report.ok
         assert any("sum" in p for p in report.problems)
 
     def test_negative_weight_reported(self):
         tm = build_tm_ddfa()
-        current = dict(tm.rules.current)
-        not_current = dict(tm.rules.not_current)
-        current[("q0", "0")] = F(3, 2)
-        not_current[("q0", "0", "1")] = F(-1, 2)
-        report = validate_rules(replace(tm, rules=DischargeRuleSet(current, not_current)))
+        weights = dict(tm.rules.weights)
+        weights[("q0", "0", "0")] = F(3, 2)
+        weights[("q0", "0", "1")] = F(-1, 2)
+        report = validate_rules(replace(tm, rules=DischargeRuleSet(weights)))
         assert not report.ok
         assert any("negative" in p for p in report.problems)
 
     def test_missing_weight_reported(self):
         tm = build_tm_ddfa()
-        current = dict(tm.rules.current)
-        del current[("q1", "1")]
-        report = validate_rules(replace(tm, rules=DischargeRuleSet(current, tm.rules.not_current)))
+        weights = dict(tm.rules.weights)
+        del weights[("q1", "1", "1")]
+        report = validate_rules(replace(tm, rules=DischargeRuleSet(weights)))
         assert not report.ok
 
 
@@ -177,16 +175,16 @@ class TestReducedForms:
         assert result.value == 0
 
     def test_zero_charge_collapses_to_zero(self):
-        # all of A's charge on symbol 0 flows along the not-current self edge
+        # all of A's charge on symbol 0 flows along the self edge labeled 1
         dfa = Automaton(("A", "B"), ("0", "1"),
                         {("A", "0"): "B", ("A", "1"): "A", ("B", "0"): "B", ("B", "1"): "B"},
                         "A")
-        rules = DischargeRuleSet(
-            current={("A", "0"): F(0), ("A", "1"): F(1, 2),
-                     ("B", "0"): F(1, 2), ("B", "1"): F(1, 2)},
-            not_current={("A", "0", "1"): F(1), ("A", "1", "0"): F(1, 2),
-                         ("B", "0", "1"): F(1, 2), ("B", "1", "0"): F(1, 2)},
-        )
+        rules = DischargeRuleSet({
+            ("A", "0", "0"): F(0), ("A", "0", "1"): F(1),
+            ("A", "1", "1"): F(1, 2), ("A", "1", "0"): F(1, 2),
+            ("B", "0", "0"): F(1, 2), ("B", "0", "1"): F(1, 2),
+            ("B", "1", "1"): F(1, 2), ("B", "1", "0"): F(1, 2),
+        })
         auto = replace(dfa, rules=rules)
         assert validate_rules(auto).ok
         assert delta_c(auto, "A", "0") == ("B", 0)

@@ -18,6 +18,8 @@ from ddfa.documents import (
 from ddfa.regularity import verify_quasi_k_regular
 from ddfa.sequences import builtin_sequence, read_b_file
 
+from conftest import random_ddfa
+
 F = Fraction
 
 
@@ -114,6 +116,14 @@ class TestRoundTrip:
         doc = AutomatonDocument(build_fr_ddfao(), {"q0": F(1, 3), "q2": F(2)})
         assert parse_document(serialize_document(doc)) == doc
 
+    def test_random_automata_round_trip(self, rng):
+        for _ in range(200):
+            doc = AutomatonDocument(random_ddfa(rng))
+            text = serialize_document(doc)
+            parsed = parse_document(text)
+            assert parsed == doc
+            assert serialize_document(parsed) == text
+
     def test_parsed_document_runs(self):
         doc = parse_document(corpus_text("fr_ddfao.json"))
         assert delta_c(doc.automaton, "q0", "1010") == ("q2", F(7, 8))
@@ -154,6 +164,13 @@ class TestSpecDocuments:
     def test_wrong_kind_rejected(self):
         with pytest.raises(DocumentError, match="kind"):
             parse_spec_document(corpus_text("tm_ddfa.json"))
+
+    @pytest.mark.parametrize("field", ["e", "r"])
+    def test_boolean_level_rejected(self, field):
+        obj = json.loads(corpus_text("tcal_quasi_spec.json"))
+        obj["menus"][0][field] = field == "e"  # JSON true/false; bool subclasses int
+        with pytest.raises(DocumentError, match=rf"menus\[0\]\.{field}: expected an integer"):
+            parse_spec_document(json.dumps(obj))
 
     def test_missing_corpus_file(self):
         with pytest.raises(DocumentError, match="no corpus file"):

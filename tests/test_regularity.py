@@ -174,6 +174,16 @@ class TestVerify:
         with pytest.raises(SpecError, match="below start"):
             verify_quasi_k_regular(builtin_sequence("e"), e_spec(), 0, 1)
 
+    def test_work_over_limit_rejected(self):
+        def unread(n):
+            raise RuntimeError("work started")
+
+        # 2 residues * 1_000_000 indices is exactly the limit, one more index is over
+        with pytest.raises(RuntimeError, match="work started"):
+            verify_quasi_k_regular(unread, t_singleton_spec(), 999_999, 1)
+        with pytest.raises(SpecError, match=r"2\^1 \* 1000001 evaluations"):
+            verify_quasi_k_regular(unread, t_singleton_spec(), 1_000_000, 1)
+
 
 class TestSingletonReduction:
     def test_thue_morse_certificate_and_replay(self):
@@ -253,6 +263,8 @@ class TestSearch:
             search_relation_menus(seq, 2, 30, 0, 31, 8, 64)
         with pytest.raises(SpecError, match="base k"):
             search_relation_menus(seq, 1, 0, 0, 1, 1, 64)
+        with pytest.raises(SpecError, match=r"2\^1000000000 \* 5 evaluations"):
+            search_relation_menus(seq, 2, 0, 0, 10**9, 1, 4)
 
 
 class TestKernel:
@@ -301,3 +313,8 @@ class TestKernel:
             k_kernel(builtin_sequence("t"), 2, 0, 64)
         with pytest.raises(ValueError):
             k_kernel(builtin_sequence("t"), 2, 3, 8)
+        for k in (1, 0, -2):
+            with pytest.raises(ValueError, match="base k"):
+                k_kernel(builtin_sequence("t"), k, 3, 64)
+        with pytest.raises(ValueError, match=r"2\^40 \* 64 evaluations, over the limit"):
+            k_kernel(builtin_sequence("t"), 2, 40, 64)

@@ -348,6 +348,9 @@ class TestBFile:
     def test_reader_rejects_garbage(self):
         with pytest.raises(ValueError, match="expected"):
             read_b_file("0 1 2\n")
+        for value in ("1e1000000", "1.5"):  # Fraction() would take both, the first slowly
+            with pytest.raises(ValueError, match=f"line 2: '{value}' is not a rational"):
+                read_b_file(f"# values\n0 {value}\n")
 
     def test_reader_out_of_range(self):
         loaded = read_b_file("0 1\n1 2\n")
