@@ -8,15 +8,16 @@ for levels above E+1 by composing the supplied base menus. A verified spec
 whose menus are all singletons (and m = 0) collapses to a flat relation
 list; the brute-force searcher recovers menus from data.
 
-Everything here is exact: integer evaluation, rational elimination for
-kernel ranks, no floats.
+Everything here is exact: integer evaluation, fraction-free elimination
+for kernel ranks, no floats.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping
 
 IntSequence = Callable[[int], int]
@@ -54,6 +55,29 @@ class AffineCombination:
 def eval_combination(seq: IntSequence, comb: AffineCombination, n: int, k: int) -> int:
     """Evaluate constant + sum coeff * seq(k^f n + b) at index n."""
     return comb.constant + sum(t.coeff * seq(k**t.f * n + t.b) for t in comb.terms)
+
+
+def _read_columns(seq: IntSequence, k: int, ns: range, keys) -> list[list]:
+    """Columns [s(k^f n + b) for n in ns], one per (f, b) in keys.
+
+    Reads go index by index, all keys at n before any at n + 1, as a
+    per-index check reads them, so a sequence that is missing some index (a
+    short b-file) fails on the same index.
+    """
+    readers = [(k**f, b, []) for f, b in keys]
+    for n in ns:
+        for stride, b, column in readers:
+            column.append(seq(stride * n + b))
+    return [column for _, _, column in readers]
+
+
+def _combination_column(comb: AffineCombination, columns, size: int) -> list:
+    """constant + sum coeff * column, index by index, from read columns."""
+    values = [comb.constant] * size
+    for t in comb.terms:
+        coeff = t.coeff
+        values = [v + coeff * x for v, x in zip(values, columns[(t.f, t.b)])]
+    return values
 
 
 def _canonical(constant: int, terms) -> AffineCombination:
@@ -247,7 +271,9 @@ def verify_quasi_k_regular(
     """Check every menu level against the sequence for m <= n <= limit.
 
     Base menus (level E+1) must all be supplied; deeper levels up to
-    E + depth are derived by composition unless supplied explicitly.
+    E + depth are derived by composition unless supplied explicitly. Each
+    s(k^f n + b) is read once per call into a column over [m, limit], and
+    each option's column is compared with the level's target column.
     """
     validate_spec(spec)
     if depth < 1:
@@ -257,22 +283,26 @@ def verify_quasi_k_regular(
     _check_work("verify", spec.k, spec.E + depth, limit - spec.m + 1)
     resolver = _MenuResolver(spec)
     report = VerificationReport(verified=True, depth=depth, checked_to=limit)
+    k, m = spec.k, spec.m
+    ns = range(m, limit + 1)
+    columns: dict[tuple[int, int], list] = {}
     for e in range(spec.E + 1, spec.E + depth + 1):
-        stride = spec.k**e
-        for r in range(stride):
+        for r in range(k**e):
             menu = resolver.resolve(e, r)
-            hits = [0] * len(menu.options)
-            first_failure = None
-            for n in range(spec.m, limit + 1):
-                value = seq(stride * n + r)
-                matched = False
-                for i, opt in enumerate(menu.options):
-                    if eval_combination(seq, opt, n, spec.k) == value:
-                        hits[i] += 1
-                        matched = True
-                if not matched and first_failure is None:
-                    first_failure = n
-            level = LevelReport(e, r, limit - spec.m + 1, hits, first_failure, menu)
+            new = list(dict.fromkeys(
+                (t.f, t.b) for opt in menu.options for t in opt.terms
+                if (t.f, t.b) not in columns
+            ))
+            target, *read = _read_columns(seq, k, ns, [(e, r), *new])
+            columns.update(zip(new, read))
+            hits = []
+            unmatched = range(len(ns))
+            for opt in menu.options:
+                values = _combination_column(opt, columns, len(ns))
+                hits.append(sum(map(operator.eq, values, target)))
+                unmatched = [i for i in unmatched if values[i] != target[i]]
+            first_failure = m + unmatched[0] if unmatched else None
+            level = LevelReport(e, r, len(ns), hits, first_failure, menu)
             report.levels[(e, r)] = level
             if first_failure is not None:
                 report.verified = False
@@ -389,48 +419,67 @@ def search_relation_menus(
     basis = [(f, b) for f in range(E + 1) for b in range(k**f)]
     result = SearchResult(k, E, m, level, coeff_bound, limit)
     ns = range(m, limit + 1)
-    rows = [tuple(seq(k**f * n + b) for f, b in basis) for n in ns]
+    columns = _read_columns(seq, k, ns, basis)
     coeff_range = range(-coeff_bound, coeff_bound + 1)
     for r in range(k**level):
-        targets = [seq(k**level * n + r) for n in ns]
-        candidates: list[tuple[AffineCombination, frozenset[int]]] = []
-        for coeffs in itertools.product(coeff_range, repeat=len(basis)):
-            lin = [sum(c * x for c, x in zip(coeffs, row)) for row in rows]
+        (target,) = _read_columns(seq, k, ns, [(level, r)])
+        # (tie-break key, indices hit); the key orders by fewer terms, then
+        # a smaller constant, then the (f, b, coeff) terms themselves.
+        candidates: list[tuple[tuple, frozenset[int]]] = []
+        for coeffs, residual in _residuals(target, columns, coeff_range):
+            # Indices by residual; a non-integer one (rational terms) is
+            # looked up by no constant.
+            buckets: dict = {}
+            for i, value in enumerate(residual):
+                if -coeff_bound <= value <= coeff_bound:
+                    buckets.setdefault(value, []).append(i)
+            if not buckets:
+                continue
+            terms = tuple((f, b, c) for c, (f, b) in zip(coeffs, basis) if c)
             for constant in coeff_range:
-                hit_set = frozenset(
-                    i for i, (v, t) in enumerate(zip(lin, targets)) if v + constant == t
-                )
-                if hit_set:
-                    comb = _canonical(
-                        constant,
-                        [RelationTerm(c, f, b) for c, (f, b) in zip(coeffs, basis)],
-                    )
-                    candidates.append((comb, hit_set))
+                hit = buckets.get(constant)
+                if hit:
+                    order = (len(terms), abs(constant), constant, terms)
+                    candidates.append((order, frozenset(hit)))
+        candidates.sort(key=lambda candidate: candidate[0])
         chosen: list[AffineCombination] = []
-        uncovered = set(range(len(rows)))
+        uncovered = set(range(len(ns)))
         while uncovered:
-            best = None
-            best_key = None
-            for comb, hit_set in candidates:
-                gain = len(hit_set & uncovered)
-                if gain == 0:
-                    continue
-                key = (
-                    -gain,
-                    len(comb.terms),
-                    abs(comb.constant),
-                    comb.constant,
-                    tuple((t.f, t.b, t.coeff) for t in comb.terms),
-                )
-                if best_key is None or key < best_key:
-                    best, best_key = (comb, hit_set), key
+            # In key order, so the first candidate with the largest gain wins ties.
+            best, best_gain = None, 0
+            for candidate in candidates:
+                gain = len(candidate[1] & uncovered)
+                if gain > best_gain:
+                    best, best_gain = candidate, gain
             if best is None:
                 break
-            chosen.append(best[0])
-            uncovered -= best[1]
+            (_, _, constant, terms), hit_set = best
+            chosen.append(_canonical(constant, [RelationTerm(c, f, b) for f, b, c in terms]))
+            uncovered -= hit_set
         result.menus[(level, r)] = RelationMenu(level, r, tuple(chosen))
         result.uncovered[(level, r)] = sorted(m + i for i in uncovered)
     return result
+
+
+def _residuals(target: list, columns: list[list], coeff_range: range):
+    """Yield (coeffs, target - sum coeffs[j] * columns[j]) in product order.
+
+    A stack holds the residual of each coefficient prefix, so a vector costs
+    one column update per position that changed since the previous one.
+    """
+    stack = [target]
+    previous = None
+    for coeffs in itertools.product(coeff_range, repeat=len(columns)):
+        j = 0
+        if previous is not None:
+            while coeffs[j] == previous[j]:
+                j += 1
+            del stack[j + 1:]
+        for c, column in zip(coeffs[j:], columns[j:]):
+            top = stack[-1]
+            stack.append([v - c * x for v, x in zip(top, column)] if c else top)
+        previous = coeffs
+        yield coeffs, stack[-1]
 
 
 @dataclass
@@ -439,7 +488,9 @@ class KernelReport:
 
     Index d of either list covers all subsequences s(k^e n + r) with
     e <= d, each truncated to the first ``window`` values, so both counts
-    are nondecreasing in d by construction.
+    are nondecreasing in d by construction. ``saturated_at`` is the first
+    depth whose rank equals the window (None if none does): from there on
+    the rank measures the window, not the sequence.
     """
 
     k: int
@@ -447,22 +498,33 @@ class KernelReport:
     window: int
     distinct_counts: list[int] = field(default_factory=list)
     ranks: list[int] = field(default_factory=list)
+    saturated_at: int | None = None
 
 
-def _echelon_insert(basis: list[tuple[int, list[Fraction]]], vec) -> bool:
-    """Reduce vec against the echelon basis; insert if independent."""
-    row = [Fraction(x) for x in vec]
-    for pivot, brow in basis:
-        factor = row[pivot]
-        if factor:
-            row = [a - factor * b for a, b in zip(row, brow)]
-    for pivot, value in enumerate(row):
-        if value:
-            normalized = [a / value for a in row]
-            basis.append((pivot, normalized))
-            basis.sort(key=lambda item: item[0])
-            return True
-    return False
+def _echelon_insert(basis: dict[int, list[int]], row: list[int]) -> None:
+    """Reduce an int row against the basis; insert it if independent.
+
+    The basis maps each pivot to its row from the pivot on, leading entry
+    nonzero. Elimination is fraction-free: cross-multiply to clear the
+    leading entry, then divide by the gcd of what is left.
+    """
+    pivot = 0
+    while True:
+        skip = next((i for i, x in enumerate(row) if x), None)
+        if skip is None:
+            return
+        pivot += skip
+        row = row[skip:]
+        brow = basis.get(pivot)
+        if brow is None:
+            basis[pivot] = row
+            return
+        lead, factor = brow[0], row[0]
+        row = [lead * a - factor * b for a, b in zip(row[1:], brow[1:])]
+        pivot += 1
+        g = math.gcd(*row)
+        if g > 1:
+            row = [x // g for x in row]
 
 
 def k_kernel(seq: IntSequence, k: int, depth: int, window: int = 64) -> KernelReport:
@@ -471,7 +533,9 @@ def k_kernel(seq: IntSequence, k: int, depth: int, window: int = 64) -> KernelRe
     A sequence with finitely many kernel vectors (or a kernel of bounded
     rational rank) will show both counts stabilizing as depth grows;
     unbounded growth over the window is evidence against that structure,
-    never proof.
+    never proof. Each vector is scaled by the lcm of its denominators, which
+    keeps the rank, and eliminated over the integers; once the rank reaches
+    the window no vector can raise it, so only distinct vectors are counted.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -482,14 +546,22 @@ def k_kernel(seq: IntSequence, k: int, depth: int, window: int = 64) -> KernelRe
     _check_work("kernel", k, depth, window)
     report = KernelReport(k, depth, window)
     seen: set[tuple[int, ...]] = set()
-    basis: list[tuple[int, list[Fraction]]] = []
+    basis: dict[int, list[int]] = {}
     for d in range(depth + 1):
         stride = k**d
         for r in range(stride):
             vec = tuple(seq(stride * n + r) for n in range(window))
             if vec not in seen:
                 seen.add(vec)
-                _echelon_insert(basis, vec)
+                if len(basis) < window:
+                    scale = math.lcm(*(x.denominator for x in vec))
+                    if scale == 1:  # reuse the int objects rather than copy them
+                        row = [x.numerator for x in vec]
+                    else:
+                        row = [x.numerator * (scale // x.denominator) for x in vec]
+                    _echelon_insert(basis, row)
         report.distinct_counts.append(len(seen))
         report.ranks.append(len(basis))
+        if report.saturated_at is None and len(basis) == window:
+            report.saturated_at = d
     return report

@@ -315,6 +315,10 @@ def read_b_file(text: str, name: str = "file") -> Sequence:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'n value', got {raw!r}")
+        if not (parts[0].isascii() and parts[0].isdigit()):
+            raise ValueError(
+                f"line {lineno}: index {parts[0]!r} is not a non-negative decimal integer"
+            )
         n = int(parts[0])
         value = parse_rational(parts[1], f"line {lineno}")
         table[n] = int(value) if value.denominator == 1 else value

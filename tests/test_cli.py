@@ -321,6 +321,13 @@ class TestKernel:
         assert code == 2
         assert "line 2: zero denominator" in err
 
+    def test_signed_index_bfile_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\n+1 1\n")
+        code, _, err = run_cli(capsys, "kernel", "--seq", str(path))
+        assert code == 2
+        assert "line 2: index '+1' is not a non-negative decimal integer" in err
+
 
 class TestWorkLimit:
     @pytest.mark.parametrize("argv,message", [

@@ -1,6 +1,10 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddfa.documents import serialize_spec_document
 from ddfa.regularity import (
     AffineCombination,
     KRegularityCertificate,
@@ -19,7 +23,14 @@ from ddfa.regularity import (
     validate_spec,
     verify_quasi_k_regular,
 )
-from ddfa.sequences import builtin_sequence, e_sequence, t_sequence, thue_morse
+from ddfa.sequences import (
+    b_file_text,
+    builtin_sequence,
+    e_sequence,
+    read_b_file,
+    t_sequence,
+    thue_morse,
+)
 
 
 def comb(constant, *terms):
@@ -318,3 +329,181 @@ class TestKernel:
                 k_kernel(builtin_sequence("t"), k, 3, 64)
         with pytest.raises(ValueError, match=r"2\^40 \* 64 evaluations, over the limit"):
             k_kernel(builtin_sequence("t"), 2, 40, 64)
+
+
+# Plain references: the per-index verify loop, the search that re-scans the
+# data for every constant, and rational Gaussian elimination.
+
+
+def reference_levels(seq, report, k, m, limit):
+    """(option_hits, first_failure) per level, one eval_combination per index."""
+    levels = {}
+    for key, level in report.levels.items():
+        stride = k**level.e
+        hits = [0] * len(level.menu.options)
+        first_failure = None
+        for n in range(m, limit + 1):
+            value = seq(stride * n + level.r)
+            matched = False
+            for i, opt in enumerate(level.menu.options):
+                if eval_combination(seq, opt, n, k) == value:
+                    hits[i] += 1
+                    matched = True
+            if not matched and first_failure is None:
+                first_failure = n
+        levels[key] = (hits, first_failure)
+    return levels
+
+
+def reference_search(seq, k, E, m, level, coeff_bound, limit):
+    """(menus, uncovered) from scanning every candidate and constant separately."""
+    basis = [(f, b) for f in range(E + 1) for b in range(k**f)]
+    ns = range(m, limit + 1)
+    rows = [[seq(k**f * n + b) for f, b in basis] for n in ns]
+    coeff_range = range(-coeff_bound, coeff_bound + 1)
+    menus, uncovered_by_level = {}, {}
+    for r in range(k**level):
+        targets = [seq(k**level * n + r) for n in ns]
+        candidates = []
+        for coeffs in itertools.product(coeff_range, repeat=len(basis)):
+            for constant in coeff_range:
+                hit_set = {
+                    i for i, row in enumerate(rows)
+                    if constant + sum(c * x for c, x in zip(coeffs, row)) == targets[i]
+                }
+                if hit_set:
+                    terms = [RelationTerm(c, f, b) for c, (f, b) in zip(coeffs, basis) if c]
+                    candidates.append((AffineCombination(constant, tuple(terms)), hit_set))
+        chosen, uncovered = [], set(range(len(rows)))
+        while True:
+            scored = [
+                (-len(hit_set & uncovered), len(opt.terms), abs(opt.constant), opt.constant,
+                 tuple((t.f, t.b, t.coeff) for t in opt.terms), opt, hit_set)
+                for opt, hit_set in candidates if hit_set & uncovered
+            ]
+            if not uncovered or not scored:
+                break
+            best = min(scored, key=lambda item: item[:5])
+            chosen.append(best[5])
+            uncovered -= best[6]
+        menus[(level, r)] = RelationMenu(level, r, tuple(chosen))
+        uncovered_by_level[(level, r)] = sorted(m + i for i in uncovered)
+    return menus, uncovered_by_level
+
+
+def fraction_echelon_insert(basis, vec):
+    """Reduce vec over Fraction rows against the echelon basis; insert if independent."""
+    row = [Fraction(x) for x in vec]
+    for pivot, brow in basis:
+        factor = row[pivot]
+        if factor:
+            row = [a - factor * b for a, b in zip(row, brow)]
+    for pivot, value in enumerate(row):
+        if value:
+            basis.append((pivot, [a / value for a in row]))
+            basis.sort(key=lambda item: item[0])
+            return
+
+
+def reference_kernel(seq, k, depth, window):
+    """(distinct counts, ranks) per depth, every distinct vector eliminated."""
+    seen, basis = set(), []
+    counts, ranks = [], []
+    for d in range(depth + 1):
+        for r in range(k**d):
+            vec = tuple(seq(k**d * n + r) for n in range(window))
+            if vec not in seen:
+                seen.add(vec)
+                fraction_echelon_insert(basis, vec)
+        counts.append(len(seen))
+        ranks.append(len(basis))
+    return counts, ranks
+
+
+class TestVerifyMatchesPerIndexReference:
+    @pytest.mark.parametrize("name,spec,limit,depth", [
+        ("e", e_spec(), 300, 3),
+        ("e", e_spec(), 1, 2),
+        ("tcal", tcal_spec(), 257, 3),
+        ("tcal", t_singleton_spec(), 200, 2),  # fails
+        ("e", tcal_spec(), 100, 2),
+        ("a", e_spec(), 60, 2),
+        ("t", QuasiRegularitySpec(2, 0, 3, t_singleton_spec().menus), 90, 3),
+    ])
+    def test_hits_and_first_failure_equal(self, name, spec, limit, depth):
+        seq = builtin_sequence(name)
+        report = verify_quasi_k_regular(seq, spec, limit, depth)
+        expected = reference_levels(seq, report, spec.k, spec.m, limit)
+        got = {key: (level.option_hits, level.first_failure)
+               for key, level in report.levels.items()}
+        assert got == expected
+        assert report.verified == all(f is None for _, f in expected.values())
+
+    def test_singleton_spec_fails_on_tcal(self):
+        report = verify_quasi_k_regular(builtin_sequence("tcal"), t_singleton_spec(), 200, 2)
+        assert not report.verified
+        assert report.levels[(1, 0)].first_failure is not None
+
+    def test_b_file_with_gaps_fails_on_the_per_index_first_missing(self):
+        full = builtin_sequence("e")
+        gaps = {7, 200}  # s(n) misses 7 at n = 7 before s(4n) misses 200 at n = 50
+        text = "".join(f"{n} {full(n)}\n" for n in range(301) if n not in gaps)
+        missing = []
+
+        def recording(n):
+            if n in gaps and not missing:
+                missing.append(n)
+            return full(n)
+
+        reference_levels(recording, verify_quasi_k_regular(full, e_spec(), 60, 2), 2, 1, 60)
+        assert missing == [7]
+        with pytest.raises(ValueError, match="index 7 not present"):
+            verify_quasi_k_regular(read_b_file(text), e_spec(), 60, 2)
+
+
+class TestSearchMatchesReference:
+    @pytest.mark.parametrize("name", ["t", "tcal", "b", "e"])
+    @pytest.mark.parametrize("coeff_bound,m,limit", [(1, 0, 64), (2, 0, 64), (2, 3, 40)])
+    def test_menus_uncovered_and_document_equal(self, name, coeff_bound, m, limit):
+        seq = builtin_sequence(name)
+        found = search_relation_menus(seq, 2, 1, m, 2, coeff_bound, limit)
+        menus, uncovered = reference_search(seq, 2, 1, m, 2, coeff_bound, limit)
+        assert found.menus == menus
+        assert found.uncovered == uncovered
+        assert serialize_spec_document(QuasiRegularitySpec(2, 1, m, found.menus)) == \
+            serialize_spec_document(QuasiRegularitySpec(2, 1, m, menus))
+
+    def test_rational_sequence_matches_reference(self):
+        seq = builtin_sequence("a")
+        found = search_relation_menus(seq, 2, 1, 0, 2, 1, 40)
+        assert (found.menus, found.uncovered) == reference_search(seq, 2, 1, 0, 2, 1, 40)
+
+
+class TestKernelMatchesFractionReference:
+    @pytest.mark.parametrize("name,depth,window", [
+        ("t", 8, 16), ("t", 8, 64),
+        ("tcal", 8, 16), ("tcal", 7, 64),  # both saturate
+        ("tcal", 3, 16), ("tcal", 5, 64),  # fewer vectors than the window
+        ("b", 8, 16), ("b", 6, 64),
+        ("e", 8, 16), ("e", 6, 64),
+        ("a", 6, 16), ("d", 6, 64),  # rational terms
+    ])
+    def test_builtin(self, name, depth, window):
+        self.check(builtin_sequence(name), depth, window)
+
+    def test_rational_b_file(self):
+        self.check(read_b_file(b_file_text(builtin_sequence("a"), 1024)), 6, 16)
+
+    def test_mixed_denominator_b_file(self):
+        text = "".join(f"{n} {Fraction(n * n + 1, n % 7 + 1)}\n" for n in range(1024))
+        self.check(read_b_file(text), 6, 16)
+
+    @staticmethod
+    def check(seq, depth, window):
+        report = k_kernel(seq, 2, depth, window)
+        counts, ranks = reference_kernel(seq, 2, depth, window)
+        assert report.distinct_counts == counts
+        assert report.ranks == ranks
+        saturated = [d for d, rank in enumerate(ranks) if rank == window]
+        assert report.saturated_at == (saturated[0] if saturated else None)
+

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -351,6 +352,9 @@ class TestBFile:
         for value in ("1e1000000", "1.5"):  # Fraction() would take both, the first slowly
             with pytest.raises(ValueError, match=f"line 2: '{value}' is not a rational"):
                 read_b_file(f"# values\n0 {value}\n")
+        for index in ("1_0", "+3", "-3", "\u0663\u0663", "\u00b3"):  # int() takes the first four
+            with pytest.raises(ValueError, match=re.escape(f"line 2: index {index!r} is not")):
+                read_b_file(f"0 1\n{index} 5\n")
 
     def test_reader_out_of_range(self):
         loaded = read_b_file("0 1\n1 2\n")
