@@ -78,6 +78,7 @@ from .sequences import (
     d_shape_closed_form,
     e_sequence,
     final_charge_sequence,
+    scaled_charge_sequence,
     modified_b_sequence,
     numerator_sequence,
     read_b_file,

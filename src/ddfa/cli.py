@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .automata import delta_star, parse_word, to_dot, validate_dfa
-from .discharge import build_fr_ddfao, build_tm_ddfa, run_record, validate_rules
+from .discharge import run_record, validate_rules
 from .documents import (
     DocumentError,
     parse_document,
@@ -29,6 +29,7 @@ from .regularity import (
 )
 from .sequences import (
     BUILTIN_SEQUENCE_NAMES,
+    SCALED_CHARGE_NAMES,
     Sequence,
     builtin_sequence,
     b_file_text,
@@ -36,6 +37,7 @@ from .sequences import (
     numerator_sequence,
     read_b_file,
     reduced_value_sequence,
+    scaled_charge_sequence,
 )
 
 EXIT_OK = 0
@@ -156,8 +158,8 @@ def cmd_verify(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     ok = True
-    for name, build in (("tm_ddfa", build_tm_ddfa), ("fr_ddfao", build_fr_ddfao)):
-        seq = numerator_sequence(final_charge_sequence(build(), 2))
+    for name in SCALED_CHARGE_NAMES:
+        seq = scaled_charge_sequence(name)
         found = search_relation_menus(
             seq, k=2, E=1, m=1, level=2, coeff_bound=args.coeff_bound, limit=args.max
         )

@@ -45,7 +45,7 @@ def corpus_path(name: str) -> Path:
 
 AUTOMATON_KINDS = ("dfa", "dfao", "ddfa", "ddfao")
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/(-?[0-9]+))?$")  # not \d: it takes any Unicode digit
 
 
 def parse_rational(value, where: str) -> Fraction:

@@ -24,7 +24,7 @@ from functools import cache, lru_cache
 from typing import Callable, Mapping
 
 from .automata import Automaton, base_k_word, build_tm_dfao, dfao_output
-from .discharge import delta_c, reduced_delta_c
+from .discharge import build_fr_ddfao, build_tm_ddfa, delta_c, reduced_delta_c
 from .documents import parse_rational
 
 
@@ -34,7 +34,8 @@ class Sequence:
     A plain view: ``term(n)`` checks ``start`` and calls the term function.
     Memos live with the producers, one per term value: the recursions keep
     module-level caches, ``e_sequence`` has its own, charge sequences cache
-    per instance and b-files read their table.
+    per instance, the two ``scaled_charge_sequence`` producers are built once
+    per process and b-files read their table.
     """
 
     def __init__(self, term_fn: Callable[[int], object], start: int = 0, name: str = ""):
@@ -100,6 +101,29 @@ def numerator_sequence(seq: Sequence) -> Sequence:
     """Numerators of an exact-rational sequence (already in lowest terms)."""
     return Sequence(lambda n: seq.term(n).numerator, start=seq.start,
                     name=f"numerators({seq.name})" if seq.name else "numerators")
+
+
+_SCALED_CHARGE_BUILDERS: dict[str, Callable[[], Automaton]] = {
+    "tm_ddfa": build_tm_ddfa,
+    "fr_ddfao": build_fr_ddfao,
+}
+SCALED_CHARGE_NAMES = tuple(_SCALED_CHARGE_BUILDERS)
+
+
+@cache
+def scaled_charge_sequence(name: str) -> Sequence:
+    """Numerators of the base-2 final charges of builtin automaton ``name``.
+
+    One producer per name and process, so every reader shares its term cache.
+    """
+    try:
+        build = _SCALED_CHARGE_BUILDERS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown scaled-charge automaton {name!r}; expected one of "
+            f"{list(SCALED_CHARGE_NAMES)}"
+        ) from None
+    return numerator_sequence(final_charge_sequence(build(), 2))
 
 
 # ---------------------------------------------------------------------------

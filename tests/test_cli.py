@@ -251,6 +251,27 @@ class TestVerify:
         assert code == 0
         assert "supported at desk scale" in out
 
+    def test_conjecture_output_does_not_depend_on_the_memo(self, capsys):
+        from ddfa.sequences import scaled_charge_sequence
+
+        commands = [["--coeff-bound", "2", "--max", "1024"],
+                    ["--coeff-bound", "1", "--max", "1000"],
+                    ["--coeff-bound", "1", "--max", "1050"]]
+        argv = ["verify", "--conjecture", "scaled-charges"]
+        scaled_charge_sequence.cache_clear()
+        shared = [run_cli(capsys, *argv, *command)[:2] for command in commands]
+        for command, outcome in zip(commands, shared):
+            scaled_charge_sequence.cache_clear()
+            assert run_cli(capsys, *argv, *command)[:2] == outcome
+
+    def test_non_ascii_digit_bfile_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "digits.txt"
+        path.write_text("0 \u0663\n1 \uff15\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "verify", "--seq", str(path),
+                               "--spec", str(corpus_path("tcal_quasi_spec.json")))
+        assert code == 2
+        assert "line 1: '\u0663' is not a rational literal" in err
+
     def test_sequence_from_bfile(self, capsys, tmp_path):
         from ddfa.sequences import b_file_text, builtin_sequence
 

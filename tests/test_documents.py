@@ -47,6 +47,12 @@ class TestRationals:
         with pytest.raises(DocumentError, match="not a rational"):
             parse_rational("one half", "x")
 
+    @pytest.mark.parametrize("raw", ["\u0663/\u0664", "\uff15", "-\u0663", "1/\u0664"])
+    def test_non_ascii_digits_rejected(self, raw):
+        # int() reads Arabic-Indic and fullwidth digits; the grammar takes ASCII only
+        with pytest.raises(DocumentError, match="not a rational"):
+            parse_rational(raw, "x")
+
 
 class TestParseDocument:
     def test_shipped_tm_ddfa_matches_builder(self):

@@ -21,6 +21,7 @@ from ddfa.sequences import (
     numerator_sequence,
     read_b_file,
     reduced_value_sequence,
+    scaled_charge_sequence,
     t_sequence,
     thue_morse,
 )
@@ -290,6 +291,25 @@ class TestChargeSequences:
         assert seq.prefix(17) == D_PREFIX
         assert len(calls) == 17
 
+    @pytest.mark.parametrize("name,build", [("tm_ddfa", build_tm_ddfa),
+                                            ("fr_ddfao", build_fr_ddfao)])
+    def test_scaled_charge_sequence_is_shared(self, name, build):
+        shared = scaled_charge_sequence(name)
+        assert scaled_charge_sequence(name) is shared
+        fresh = numerator_sequence(final_charge_sequence(build(), 2))
+        assert shared.prefix(2**12) == fresh.prefix(2**12)
+
+    def test_scaled_charge_terms_run_once_per_process(self, monkeypatch):
+        scaled_charge_sequence.cache_clear()
+        calls = self._count_delta_c(monkeypatch)
+        assert scaled_charge_sequence("tm_ddfa").prefix(25) == B_PREFIX
+        assert scaled_charge_sequence("tm_ddfa").prefix(25) == B_PREFIX
+        assert len(calls) == 25
+
+    def test_scaled_charge_sequence_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown scaled-charge automaton 'tm_dfa'"):
+            scaled_charge_sequence("tm_dfa")
+
     def test_reduced_value_sequence_missing_state(self):
         seq = reduced_value_sequence(build_fr_ddfao(), {"q0": F(1)}, 2)
         with pytest.raises(ValueError, match="no assigned value"):
@@ -355,6 +375,12 @@ class TestBFile:
         for index in ("1_0", "+3", "-3", "\u0663\u0663", "\u00b3"):  # int() takes the first four
             with pytest.raises(ValueError, match=re.escape(f"line 2: index {index!r} is not")):
                 read_b_file(f"0 1\n{index} 5\n")
+
+    def test_reader_rejects_non_ascii_values(self):
+        with pytest.raises(ValueError, match="line 1: '\u0663' is not a rational"):
+            read_b_file("0 \u0663\n1 \uff15\n")
+        with pytest.raises(ValueError, match="line 2: '\uff15' is not a rational"):
+            read_b_file("0 3\n1 \uff15\n")
 
     def test_reader_out_of_range(self):
         loaded = read_b_file("0 1\n1 2\n")
