@@ -50,21 +50,17 @@ from .documents import (
 from .regularity import (
     AffineCombination,
     KernelReport,
-    KRegularityCertificate,
     MissingMenuError,
     QuasiRegularitySpec,
     RelationMenu,
     RelationTerm,
     SearchResult,
-    SingletonRefusal,
     SpecError,
     VerificationReport,
-    certificate_as_spec,
     describe_combination,
     eval_combination,
     k_kernel,
     search_relation_menus,
-    singleton_reduction,
     validate_spec,
     verify_quasi_k_regular,
 )

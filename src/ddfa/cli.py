@@ -104,20 +104,19 @@ def cmd_sequence(args) -> int:
     auto = doc.automaton
     if auto.rules is None:
         raise DocumentError("sequence generation needs a discharging automaton (ddfa/ddfao)")
-    base = args.base or len(auto.alphabet)
     if args.count < 1:
         raise DocumentError(f"--count must be >= 1, got {args.count}")
     if args.form == "charge":
-        seq = final_charge_sequence(auto, base)
+        seq = final_charge_sequence(auto)
     elif args.form == "reduced":
         if doc.valuation is None:
             raise DocumentError("--form reduced needs a valuation in the document")
-        seq = reduced_value_sequence(auto, doc.valuation, base)
+        seq = reduced_value_sequence(auto, doc.valuation)
     else:  # numerator of the reduced values when a valuation is present
         inner = (
-            reduced_value_sequence(auto, doc.valuation, base)
+            reduced_value_sequence(auto, doc.valuation)
             if doc.valuation is not None
-            else final_charge_sequence(auto, base)
+            else final_charge_sequence(auto)
         )
         seq = numerator_sequence(inner)
     text = b_file_text(seq, args.count, args.offset)
@@ -244,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", help="list charge-derived sequence terms")
     p.add_argument("document")
     p.add_argument("--count", type=int, required=True, help="number of terms")
-    p.add_argument("--base", type=int, help="input base (default: alphabet size)")
     p.add_argument(
         "--form",
         choices=("charge", "numerator", "reduced"),

@@ -4,9 +4,8 @@ A relation menu for a subsequence s(k^e n + r) is a finite list of affine
 combinations of shallower subsequences s(k^f n + b), f <= E; the sequence
 satisfies the menu when every index n >= m is matched by at least one
 option. The verifier checks all levels E < e <= E + depth, deriving menus
-for levels above E+1 by composing the supplied base menus. A verified spec
-whose menus are all singletons (and m = 0) collapses to a flat relation
-list; the brute-force searcher recovers menus from data.
+for levels above E+1 by composing the supplied base menus; the brute-force
+searcher recovers menus from data.
 
 Everything here is exact: integer evaluation, fraction-free elimination
 for kernel ranks, no floats.
@@ -119,7 +118,12 @@ class RelationMenu:
 
 @dataclass(frozen=True)
 class QuasiRegularitySpec:
-    """Base k, right-hand exponent bound E, start index m, and the menus."""
+    """Base k, right-hand exponent bound E, start index m, and the menus.
+
+    With m = 0 and one option per menu the spec is a flat relation list,
+    one combination per level holding at every index: the k-regular case
+    (Allouche & Shallit, "The ring of k-regular sequences", TCS 1992).
+    """
 
     k: int
     E: int
@@ -307,54 +311,6 @@ def verify_quasi_k_regular(
             if first_failure is not None:
                 report.verified = False
     return report
-
-
-@dataclass(frozen=True)
-class KRegularityCertificate:
-    """Flat relation list: every level has exactly one combination."""
-
-    k: int
-    E: int
-    relations: tuple[tuple[int, int, AffineCombination], ...]
-
-
-@dataclass(frozen=True)
-class SingletonRefusal:
-    """Why a spec does not collapse to a flat relation list."""
-
-    reason: str
-
-
-def singleton_reduction(
-    spec: QuasiRegularitySpec, report: VerificationReport
-) -> KRegularityCertificate | SingletonRefusal:
-    """Collapse a verified all-singleton spec with m = 0 to a certificate.
-
-    Singleton menus leave no per-index choice, so the one combination per
-    level must hold at every index; with m = 0 that is exactly a flat
-    relation list. Any violated hypothesis yields a refusal naming it.
-    """
-    if not report.verified:
-        raise ValueError("singleton reduction requires a verified report")
-    if spec.m != 0:
-        return SingletonRefusal(f"start index m = {spec.m}, hypothesis needs m = 0")
-    for (e, r), menu in sorted(spec.menus.items()):
-        if len(menu.options) != 1:
-            return SingletonRefusal(
-                f"menu ({e}, {r}) has {len(menu.options)} options, hypothesis needs 1"
-            )
-    relations = tuple(
-        (e, r, spec.menus[(e, r)].options[0]) for (e, r) in sorted(spec.menus)
-    )
-    return KRegularityCertificate(spec.k, spec.E, relations)
-
-
-def certificate_as_spec(cert: KRegularityCertificate) -> QuasiRegularitySpec:
-    """Replay a certificate as a singleton-menu spec (for re-verification)."""
-    menus = {
-        (e, r): RelationMenu(e, r, (comb,)) for e, r, comb in cert.relations
-    }
-    return QuasiRegularitySpec(cert.k, cert.E, 0, menus)
 
 
 @dataclass

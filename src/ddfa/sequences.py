@@ -59,18 +59,18 @@ class Sequence:
 # charge sequences from automata
 
 
-def _check_base(auto: Automaton, base: int) -> None:
-    alphabet = auto.alphabet
-    expected = {str(i) for i in range(base)}
-    if len(alphabet) != base or set(alphabet) != expected:
-        raise ValueError(
-            f"alphabet {alphabet} does not match base {base} digits {sorted(expected)}"
-        )
+def _digit_base(auto: Automaton) -> int:
+    """The base k whose digits "0", ..., "k-1" are exactly the alphabet."""
+    base = len(auto.alphabet)
+    digits = [str(i) for i in range(base)]
+    if set(auto.alphabet) != set(digits):
+        raise ValueError(f"alphabet {auto.alphabet} is not the base-{base} digits {digits}")
+    return base
 
 
-def final_charge_sequence(auto: Automaton, base: int) -> Sequence:
-    """Final charge of the run on the base-``base`` expansion of each n."""
-    _check_base(auto, base)
+def final_charge_sequence(auto: Automaton) -> Sequence:
+    """Final charge of the run on the base-k expansion of each n, k = |alphabet|."""
+    base = _digit_base(auto)
     start = auto.start
 
     @cache
@@ -80,11 +80,12 @@ def final_charge_sequence(auto: Automaton, base: int) -> Sequence:
     return Sequence(term, name="final-charge")
 
 
-def reduced_value_sequence(
-    auto: Automaton, valuation: Mapping[str, Fraction], base: int
-) -> Sequence:
-    """Numeric reduced value of each run; the valuation must cover final states."""
-    _check_base(auto, base)
+def reduced_value_sequence(auto: Automaton, valuation: Mapping[str, Fraction]) -> Sequence:
+    """Reduced value of the run on the base-k expansion of each n, k = |alphabet|.
+
+    The valuation must cover every final state.
+    """
+    base = _digit_base(auto)
     start = auto.start
 
     @cache
@@ -123,7 +124,7 @@ def scaled_charge_sequence(name: str) -> Sequence:
             f"unknown scaled-charge automaton {name!r}; expected one of "
             f"{list(SCALED_CHARGE_NAMES)}"
         ) from None
-    return numerator_sequence(final_charge_sequence(build(), 2))
+    return numerator_sequence(final_charge_sequence(build()))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +345,8 @@ def read_b_file(text: str, name: str = "file") -> Sequence:
                 f"line {lineno}: index {parts[0]!r} is not a non-negative decimal integer"
             )
         n = int(parts[0])
+        if n in table:
+            raise ValueError(f"line {lineno}: duplicate index {n}")
         value = parse_rational(parts[1], f"line {lineno}")
         table[n] = int(value) if value.denominator == 1 else value
 

@@ -115,6 +115,14 @@ class TestSequence:
         assert code == 2
         assert "discharging" in err
 
+    def test_non_digit_alphabet_exit_two(self, capsys, tmp_path):
+        text = corpus_path("tm_ddfa.json").read_text()
+        letters = tmp_path / "letters.json"
+        letters.write_text(text.replace('"0"', '"a"').replace('"1"', '"b"'))
+        code, out, err = run_cli(capsys, "sequence", str(letters), "--count", "3")
+        assert (code, out) == (2, "")
+        assert "alphabet ('a', 'b') is not the base-2 digits ['0', '1']" in err
+
 
 class TestValidate:
     def test_valid_document(self, capsys):
@@ -348,6 +356,13 @@ class TestKernel:
         code, _, err = run_cli(capsys, "kernel", "--seq", str(path))
         assert code == 2
         assert "line 2: index '+1' is not a non-negative decimal integer" in err
+
+    def test_duplicate_index_bfile_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\n1 1\n1 7\n")
+        code, _, err = run_cli(capsys, "kernel", "--seq", str(path))
+        assert code == 2
+        assert "line 3: duplicate index 1" in err
 
 
 class TestWorkLimit:

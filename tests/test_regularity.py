@@ -7,19 +7,15 @@ from hypothesis import given, settings, strategies as st
 from ddfa.documents import serialize_spec_document
 from ddfa.regularity import (
     AffineCombination,
-    KRegularityCertificate,
     MissingMenuError,
     QuasiRegularitySpec,
     RelationMenu,
     RelationTerm,
-    SingletonRefusal,
     SpecError,
-    certificate_as_spec,
     describe_combination,
     eval_combination,
     k_kernel,
     search_relation_menus,
-    singleton_reduction,
     validate_spec,
     verify_quasi_k_regular,
 )
@@ -196,39 +192,26 @@ class TestVerify:
             verify_quasi_k_regular(unread, t_singleton_spec(), 1_000_000, 1)
 
 
-class TestSingletonReduction:
-    def test_thue_morse_certificate_and_replay(self):
-        spec = t_singleton_spec()
-        report = verify_quasi_k_regular(builtin_sequence("t"), spec, 4096, 3)
-        assert report.verified
-        cert = singleton_reduction(spec, report)
-        assert isinstance(cert, KRegularityCertificate)
-        assert cert.relations == ((1, 0, S_N), (1, 1, ONE_MINUS))
-        replay = verify_quasi_k_regular(
-            builtin_sequence("t"), certificate_as_spec(cert), 4096, 3
-        )
-        assert replay.verified
+class TestKRegularSpecialCase:
+    """m = 0 and one option per menu make a spec a flat relation list."""
 
-    def test_multi_option_menu_refused(self):
+    def test_thue_morse_spec_is_a_flat_relation_list(self):
+        spec = t_singleton_spec()
+        assert verify_quasi_k_regular(builtin_sequence("t"), spec, 4096, 3).verified
+        assert spec.m == 0
+        assert {key: menu.options for key, menu in spec.menus.items()} == {
+            (1, 0): (S_N,), (1, 1): (ONE_MINUS,)}
+
+    def test_multi_option_menu_is_not_flat(self):
         spec = tcal_spec()
-        report = verify_quasi_k_regular(builtin_sequence("tcal"), spec, 1024, 1)
-        refusal = singleton_reduction(spec, report)
-        assert isinstance(refusal, SingletonRefusal)
-        assert "2 options" in refusal.reason
+        assert verify_quasi_k_regular(builtin_sequence("tcal"), spec, 1024, 1).verified
+        assert spec.m == 0
+        assert len(spec.menus[(1, 0)].options) == 2
 
-    def test_nonzero_start_refused(self):
+    def test_nonzero_start_is_not_flat(self):
         spec = e_spec()
-        report = verify_quasi_k_regular(builtin_sequence("e"), spec, 1024, 1)
-        refusal = singleton_reduction(spec, report)
-        assert isinstance(refusal, SingletonRefusal)
-        assert "m = 1" in refusal.reason
-
-    def test_unverified_report_rejected(self):
-        spec = t_singleton_spec()
-        report = verify_quasi_k_regular(builtin_sequence("t"), spec, 64, 1)
-        report.verified = False
-        with pytest.raises(ValueError, match="verified"):
-            singleton_reduction(spec, report)
+        assert verify_quasi_k_regular(builtin_sequence("e"), spec, 1024, 1).verified
+        assert spec.m == 1
 
 
 class TestSearch:

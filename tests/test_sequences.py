@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -57,18 +58,18 @@ class TestARecursion:
             a_recursion(-1)
 
     def test_matches_simulation_below_2_10(self):
-        sim = final_charge_sequence(build_tm_ddfa(), 2)
+        sim = final_charge_sequence(build_tm_ddfa())
         for n in range(2**10):
             assert sim(n) == a_recursion(n)
 
 
 class TestNumerators:
     def test_b_prefix(self):
-        sim = final_charge_sequence(build_tm_ddfa(), 2)
+        sim = final_charge_sequence(build_tm_ddfa())
         assert numerator_sequence(sim).prefix(25) == B_PREFIX
 
     def test_e_prefix_from_automaton(self):
-        sim = final_charge_sequence(build_fr_ddfao(), 2)
+        sim = final_charge_sequence(build_fr_ddfao())
         assert numerator_sequence(sim).prefix(19) == E_PREFIX
 
     def test_numerator_of_integer_one(self):
@@ -144,7 +145,7 @@ class TestDShape:
         assert d_shape_closed_form(n) == expected
 
     def test_matches_simulation_below_2_10(self):
-        sim = final_charge_sequence(build_fr_ddfao(), 2)
+        sim = final_charge_sequence(build_fr_ddfao())
         for n in range(2**10):
             assert sim(n) == d_shape_closed_form(n)
 
@@ -162,13 +163,13 @@ class TestESequence:
         assert e_sequence(5) == 7
 
     def test_powers_of_two_give_one(self):
-        sim = numerator_sequence(final_charge_sequence(build_fr_ddfao(), 2))
+        sim = numerator_sequence(final_charge_sequence(build_fr_ddfao()))
         for m in range(13):
             assert e_sequence(2**m) == 1
             assert sim(2**m) == 1
 
     def test_equals_reduced_numerator_below_2_12(self):
-        sim = numerator_sequence(final_charge_sequence(build_fr_ddfao(), 2))
+        sim = numerator_sequence(final_charge_sequence(build_fr_ddfao()))
         for n in range(2**12):
             assert e_sequence(n) == sim(n)
 
@@ -239,24 +240,25 @@ class TestThueMorse:
 
 class TestChargeSequences:
     def test_tm_prefix(self):
-        assert final_charge_sequence(build_tm_ddfa(), 2).prefix(15) == A_PREFIX
+        assert final_charge_sequence(build_tm_ddfa()).prefix(15) == A_PREFIX
 
     def test_fr_prefix(self):
-        assert final_charge_sequence(build_fr_ddfao(), 2).prefix(17) == D_PREFIX
+        assert final_charge_sequence(build_fr_ddfao()).prefix(17) == D_PREFIX
 
     def test_degenerate_is_constant_one(self):
         from ddfa.discharge import degenerate_ddfa
 
-        seq = final_charge_sequence(degenerate_ddfa(build_tm_dfa()), 2)
+        seq = final_charge_sequence(degenerate_ddfa(build_tm_dfa()))
         assert seq.prefix(64) == [F(1)] * 64
 
     def test_base_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="base"):
-            final_charge_sequence(build_tm_ddfa(), 3)
+        skipped_digit = replace(build_tm_ddfa(), alphabet=("0", "2"))
+        with pytest.raises(ValueError, match=re.escape("alphabet ('0', '2') is not the base-2")):
+            final_charge_sequence(skipped_digit)
 
     def test_reduced_value_sequence_with_unit_valuation(self):
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
-        seq = reduced_value_sequence(build_fr_ddfao(), valuation, 2)
+        seq = reduced_value_sequence(build_fr_ddfao(), valuation)
         assert seq.prefix(17) == D_PREFIX
 
     @staticmethod
@@ -277,7 +279,7 @@ class TestChargeSequences:
 
     def test_final_charge_runs_once_per_index(self, monkeypatch):
         calls = self._count_delta_c(monkeypatch)
-        seq = final_charge_sequence(build_tm_ddfa(), 2)
+        seq = final_charge_sequence(build_tm_ddfa())
         assert seq.prefix(15) == A_PREFIX
         assert seq.prefix(15) == A_PREFIX
         assert seq(7) == A_PREFIX[7]
@@ -286,7 +288,7 @@ class TestChargeSequences:
     def test_reduced_value_runs_once_per_index(self, monkeypatch):
         calls = self._count_delta_c(monkeypatch)
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
-        seq = reduced_value_sequence(build_fr_ddfao(), valuation, 2)
+        seq = reduced_value_sequence(build_fr_ddfao(), valuation)
         assert seq.prefix(17) == D_PREFIX
         assert seq.prefix(17) == D_PREFIX
         assert len(calls) == 17
@@ -296,7 +298,7 @@ class TestChargeSequences:
     def test_scaled_charge_sequence_is_shared(self, name, build):
         shared = scaled_charge_sequence(name)
         assert scaled_charge_sequence(name) is shared
-        fresh = numerator_sequence(final_charge_sequence(build(), 2))
+        fresh = numerator_sequence(final_charge_sequence(build()))
         assert shared.prefix(2**12) == fresh.prefix(2**12)
 
     def test_scaled_charge_terms_run_once_per_process(self, monkeypatch):
@@ -311,7 +313,7 @@ class TestChargeSequences:
             scaled_charge_sequence("tm_dfa")
 
     def test_reduced_value_sequence_missing_state(self):
-        seq = reduced_value_sequence(build_fr_ddfao(), {"q0": F(1)}, 2)
+        seq = reduced_value_sequence(build_fr_ddfao(), {"q0": F(1)})
         with pytest.raises(ValueError, match="no assigned value"):
             seq(2)
 
@@ -375,6 +377,8 @@ class TestBFile:
         for index in ("1_0", "+3", "-3", "\u0663\u0663", "\u00b3"):  # int() takes the first four
             with pytest.raises(ValueError, match=re.escape(f"line 2: index {index!r} is not")):
                 read_b_file(f"0 1\n{index} 5\n")
+        with pytest.raises(ValueError, match="line 3: duplicate index 1"):
+            read_b_file("0 1\n1 1\n1 7\n")
 
     def test_reader_rejects_non_ascii_values(self):
         with pytest.raises(ValueError, match="line 1: '\u0663' is not a rational"):
