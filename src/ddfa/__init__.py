@@ -1,11 +1,11 @@
 """Exact-arithmetic toolkit for charge-discharging finite automata.
 
 The one ``Automaton`` type (a DFA, optionally with an output map and
-discharge rules) lives in ``automata``; charge runs, their reduced forms
-and run records in ``discharge``; derived number sequences and their
-closed forms in ``sequences``; menu-based relation verification, search,
-and kernel evidence in ``regularity``; the JSON file format in
-``documents``; and the command line in ``cli``.
+discharge rules) lives in ``automata``; charge runs and their reduced forms
+in ``discharge``; derived number sequences and their closed forms in
+``sequences``; menu-based relation verification, search, and kernel
+evidence in ``regularity``; the JSON file format in ``documents``; and the
+command line in ``cli``.
 """
 
 from .automata import (
@@ -24,7 +24,6 @@ from .discharge import (
     ChargeResult,
     DischargeRuleSet,
     ReducedResult,
-    RunRecord,
     build_fr_ddfao,
     build_tm_ddfa,
     charge_step,
@@ -32,9 +31,8 @@ from .discharge import (
     degenerate_ddfa,
     delta_c,
     equal_split_rules,
+    reduce_charge,
     reduced_delta_c,
-    reduced_output,
-    run_record,
     unit_charge,
     validate_rules,
 )
@@ -66,7 +64,6 @@ from .regularity import (
 )
 from .sequences import (
     Sequence,
-    TriangleA131271,
     a131271_triangle,
     a_recursion,
     b_file_text,

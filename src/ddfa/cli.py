@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .automata import delta_star, parse_word, to_dot, validate_dfa
-from .discharge import run_record, validate_rules
+from .discharge import charge_trajectory, reduce_charge, validate_rules
 from .documents import (
     DocumentError,
     parse_document,
@@ -21,6 +21,7 @@ from .documents import (
     serialize_spec_document,
 )
 from .regularity import (
+    WORK_LIMIT,
     SpecError,
     describe_combination,
     search_relation_menus,
@@ -83,19 +84,20 @@ def cmd_run(args) -> int:
     doc = parse_document(_read(args.document))
     auto = doc.automaton
     word = parse_word(auto.alphabet, args.word)
-    start = args.start or auto.start
     if auto.rules is None:
-        state = delta_star(auto, start, word)
+        state = delta_star(auto, auto.start, word)
         print(state if auto.output is None else f"{state} {auto.output[state]}")
         return EXIT_OK
-    record = run_record(auto, start, word, doc.valuation)
+    snapshots = charge_trajectory(auto, auto.start, word)
     if args.trace:
-        for i, (state, vector) in enumerate(record.snapshots):
-            prefix = "start" if i == 0 else f"read {record.word[i - 1]} ->"
+        for i, (state, vector) in enumerate(snapshots):
+            prefix = "start" if i == 0 else f"read {word[i - 1]} ->"
             print(f"step {i}: {prefix} {state}  {_format_vector(auto.states, vector)}")
-    print(f"{record.final_state} {record.final_charge}")
-    if record.reduced is not None:
-        print(f"reduced {record.reduced}")
+    state, vector = snapshots[-1]
+    charge = vector[state]
+    print(f"{state} {charge}")
+    if doc.valuation is not None:
+        print(f"reduced {reduce_charge(doc.valuation, state, charge)}")
     return EXIT_OK
 
 
@@ -106,6 +108,8 @@ def cmd_sequence(args) -> int:
         raise DocumentError("sequence generation needs a discharging automaton (ddfa/ddfao)")
     if args.count < 1:
         raise DocumentError(f"--count must be >= 1, got {args.count}")
+    if args.count > WORK_LIMIT:
+        raise DocumentError(f"--count {args.count} is over the limit of {WORK_LIMIT} terms")
     if args.form == "charge":
         seq = final_charge_sequence(auto)
     elif args.form == "reduced":
@@ -237,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("document")
     p.add_argument("word", help="input word; empty string for the empty word")
     p.add_argument("--trace", action="store_true", help="print per-step charge vectors")
-    p.add_argument("--start", help="override the start state")
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("sequence", help="list charge-derived sequence terms")

@@ -143,50 +143,24 @@ def reduced_delta_c(
     q: str,
     word: Iterable[str],
 ) -> ReducedResult:
-    """Collapse a charge run against a partial state valuation.
-
-    A valued final state yields the numeric product value * charge; an
-    unvalued one stays a formal (state, charge) pair, except that a zero
-    charge always collapses to the number 0.
-    """
-    return _reduce(valuation, *delta_c(auto, q, word))
+    """Collapse the charge run of ``word`` from ``q`` against a valuation."""
+    return reduce_charge(valuation, *delta_c(auto, q, word))
 
 
-def _reduce(
+def reduce_charge(
     valuation: Mapping[str, Fraction] | None, state: str, charge: Fraction
 ) -> ReducedResult:
+    """Collapse a final (state, charge) pair against a partial state valuation.
+
+    A valued state yields the numeric product value * charge; an unvalued
+    one stays a formal (state, charge) pair, except that a zero charge
+    always collapses to the number 0.
+    """
     if valuation is not None and state in valuation:
         return ReducedResult(None, valuation[state] * charge)
     if charge == 0:
         return ReducedResult(None, ZERO)
     return ReducedResult(state, charge)
-
-
-def reduced_output(auto: Automaton, q: str, word: Iterable[str]) -> Fraction:
-    """Output value of the final state times the final charge."""
-    state, charge = delta_c(auto, q, word)
-    return auto.output[state] * charge
-
-
-@dataclass
-class RunRecord:
-    """One charge run: the word, every snapshot, and the final values."""
-
-    word: tuple[str, ...]
-    snapshots: list[tuple[str, ChargeVector]]
-    final_state: str
-    final_charge: Fraction
-    reduced: ReducedResult | None = None
-
-
-def run_record(auto: Automaton, start: str, word, valuation=None) -> RunRecord:
-    """Assemble the full record of running ``word`` from ``start``."""
-    word = tuple(word)
-    snapshots = charge_trajectory(auto, start, word)
-    state, vector = snapshots[-1]
-    charge = vector[state]
-    reduced = None if valuation is None else _reduce(valuation, state, charge)
-    return RunRecord(word, snapshots, state, charge, reduced)
 
 
 def equal_split_rules(base: Automaton) -> DischargeRuleSet:

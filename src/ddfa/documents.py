@@ -81,10 +81,6 @@ class AutomatonDocument:
     automaton: Automaton
     valuation: dict[str, Fraction] | None = None
 
-    @property
-    def kind(self) -> str:
-        return self.automaton.kind
-
 
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     unknown = set(obj) - allowed
@@ -242,7 +238,7 @@ def serialize_document(doc: AutomatonDocument) -> str:
     auto = doc.automaton
     rules = auto.rules
     obj: dict = {
-        "kind": doc.kind,
+        "kind": auto.kind,
         "states": list(auto.states),
         "alphabet": list(auto.alphabet),
         "start": auto.start,

@@ -182,65 +182,41 @@ def validate_spec(spec: QuasiRegularitySpec) -> None:
                     )
 
 
-class _MenuResolver:
-    """Resolve menus for arbitrary levels, composing upwards from the base.
+def _resolve_menu(
+    spec: QuasiRegularitySpec, menus: dict[tuple[int, int], RelationMenu], e: int, r: int
+) -> RelationMenu:
+    """Menu for level (e, r), composed upwards from the base and memoised in ``menus``.
 
     A level (e, r) with e > E+1 rewrites s(k^e n + r) = s(k^(e-1) M + r0)
     with M = k n + u, expands each option of the level-(e-1) menu at M, and
     substitutes base menus for any term whose exponent would exceed E.
     Substitution choices multiply out, so composed menus stay finite.
     """
-
-    def __init__(self, spec: QuasiRegularitySpec):
-        self.spec = spec
-        self.cache: dict[tuple[int, int], RelationMenu] = dict(spec.menus)
-
-    def resolve(self, e: int, r: int) -> RelationMenu:
-        key = (e, r)
-        if key in self.cache:
-            return self.cache[key]
-        spec = self.spec
-        if e <= spec.E + 1:
-            raise MissingMenuError(f"missing menu for level ({e}, {r})")
-        k = spec.k
-        u, r0 = divmod(r, k ** (e - 1))
-        parent = self.resolve(e - 1, r0)
-        options: list[AffineCombination] = []
-        for opt in parent.options:
-            partial: list[tuple[int, list[RelationTerm]]] = [(opt.constant, [])]
-            for t in opt.terms:
-                g = t.f + 1
-                b_new = k**t.f * u + t.b
-                if g <= spec.E:
-                    partial = [
-                        (c0, ts + [RelationTerm(t.coeff, g, b_new)]) for c0, ts in partial
-                    ]
-                    continue
-                sub = self.resolve(spec.E + 1, b_new)
-                expanded: list[tuple[int, list[RelationTerm]]] = []
-                for c0, ts in partial:
-                    for sub_opt in sub.options:
-                        expanded.append(
-                            (
-                                c0 + t.coeff * sub_opt.constant,
-                                ts
-                                + [
-                                    RelationTerm(t.coeff * st.coeff, st.f, st.b)
-                                    for st in sub_opt.terms
-                                ],
-                            )
-                        )
-                partial = expanded
-            options.extend(_canonical(c0, ts) for c0, ts in partial)
-        deduped: list[AffineCombination] = []
-        seen: set[AffineCombination] = set()
-        for opt in options:
-            if opt not in seen:
-                seen.add(opt)
-                deduped.append(opt)
-        menu = RelationMenu(e, r, tuple(deduped))
-        self.cache[key] = menu
-        return menu
+    if (e, r) in menus:
+        return menus[(e, r)]
+    k, E = spec.k, spec.E
+    if e <= E + 1:
+        raise MissingMenuError(f"missing menu for level ({e}, {r})")
+    u, r0 = divmod(r, k ** (e - 1))
+    options: dict[AffineCombination, None] = {}  # insertion-ordered set
+    for opt in _resolve_menu(spec, menus, e - 1, r0).options:
+        # per term, its (constant, terms) choices once M = k n + u is substituted
+        choices = []
+        for t in opt.terms:
+            b = k**t.f * u + t.b
+            if t.f < E:
+                choices.append([(0, [RelationTerm(t.coeff, t.f + 1, b)])])
+            else:
+                choices.append([
+                    (t.coeff * sub.constant,
+                     [RelationTerm(t.coeff * st.coeff, st.f, st.b) for st in sub.terms])
+                    for sub in _resolve_menu(spec, menus, E + 1, b).options
+                ])
+        for picked in itertools.product(*choices):
+            constant = opt.constant + sum(c for c, _ in picked)
+            options[_canonical(constant, [t for _, ts in picked for t in ts])] = None
+    menu = menus[(e, r)] = RelationMenu(e, r, tuple(options))
+    return menu
 
 
 @dataclass
@@ -285,14 +261,14 @@ def verify_quasi_k_regular(
     if limit < spec.m:
         raise SpecError(f"limit {limit} is below start index m = {spec.m}")
     _check_work("verify", spec.k, spec.E + depth, limit - spec.m + 1)
-    resolver = _MenuResolver(spec)
+    menus = dict(spec.menus)
     report = VerificationReport(verified=True, depth=depth, checked_to=limit)
     k, m = spec.k, spec.m
     ns = range(m, limit + 1)
     columns: dict[tuple[int, int], list] = {}
     for e in range(spec.E + 1, spec.E + depth + 1):
         for r in range(k**e):
-            menu = resolver.resolve(e, r)
+            menu = _resolve_menu(spec, menus, e, r)
             new = list(dict.fromkeys(
                 (t.f, t.b) for opt in menu.options for t in opt.terms
                 if (t.f, t.b) not in columns
@@ -355,14 +331,13 @@ def search_relation_menus(
     fewer terms, then a smaller constant. Residues left with uncovered
     indices are reported, not fatal.
     """
+    validate_spec(QuasiRegularitySpec(k, E, m, {}))
     if coeff_bound < 1:
         raise SpecError(f"coeff bound must be >= 1, got {coeff_bound}")
     if level <= E:
         raise SpecError(f"search level e = {level} must exceed E = {E}")
     if limit < m:
         raise SpecError(f"limit {limit} is below start index m = {m}")
-    if k < 2:
-        raise SpecError(f"base k must be >= 2, got {k}")
     span = 2 * coeff_bound + 1
     size = 1  # the constant plus each basis term s(k^f n + b), counted per f
     for f in range(E + 1):

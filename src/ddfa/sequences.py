@@ -18,7 +18,6 @@ Every producer is exact: Fraction or int, never float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Callable, Mapping
@@ -157,18 +156,8 @@ def modified_b_sequence(n: int) -> int:
     return (a_recursion(n).numerator + 1) // 2
 
 
-@dataclass(frozen=True)
-class TriangleA131271:
-    """Triangle whose row n is a permutation of {1, ..., 2^n}."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def flatten(self) -> list[int]:
-        return [value for row in self.rows for value in row]
-
-
-def a131271_triangle(depth: int) -> TriangleA131271:
-    """Rows 0..depth of the doubling triangle.
+def a131271_triangle(depth: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..depth of the doubling triangle; row n permutes {1, ..., 2^n}.
 
     Row n interleaves row n-1 with its reflection: entry v contributes
     v followed by 2^n + 1 - v.
@@ -177,13 +166,8 @@ def a131271_triangle(depth: int) -> TriangleA131271:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(1, depth + 1):
-        prev = rows[-1]
-        row: list[int] = []
-        for v in prev:
-            row.append(v)
-            row.append(2**n + 1 - v)
-        rows.append(tuple(row))
-    return TriangleA131271(tuple(rows))
+        rows.append(tuple(x for v in rows[-1] for x in (v, 2**n + 1 - v)))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -204,25 +188,6 @@ def _a131271_flat(i: int) -> int:
     return _triangle_entry(n, i + 2 - 2**n)
 
 
-def _binary_shape(n: int) -> tuple[str, int]:
-    """Classify the binary word of n >= 1 into one of three exhaustive shapes.
-
-    Returns (tag, zeros) where tag is "double-one" for words starting 11,
-    "one-zeros" for 1 followed only by zeros (possibly none), and
-    "one-zeros-one" for 1, at least one 0, then a 1 and anything.
-    """
-    bits = format(n, "b")
-    rest = bits[1:]
-    if rest.startswith("1"):
-        return "double-one", 0
-    first_one = rest.find("1")
-    if first_one == -1:
-        return "one-zeros", len(rest)
-    if first_one >= 1:
-        return "one-zeros-one", first_one
-    raise AssertionError(f"unclassifiable binary word {bits!r}")
-
-
 def d_shape_closed_form(n: int) -> Fraction:
     """Closed form for the 4-state reduced charge, by binary word shape.
 
@@ -233,11 +198,12 @@ def d_shape_closed_form(n: int) -> Fraction:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return Fraction(1, 2)
-    shape, zeros = _binary_shape(n)
-    if shape == "double-one":
+    rest = format(n, "b")[1:]
+    if rest.startswith("1"):
         return Fraction(3, 4)
-    if shape == "one-zeros":
-        return Fraction(1, 2 ** (zeros + 1))
+    zeros = rest.find("1")
+    if zeros == -1:
+        return Fraction(1, 2 ** (len(rest) + 1))
     return 1 - Fraction(1, 2 ** (zeros + 2))
 
 
@@ -299,27 +265,27 @@ def thue_morse(n: int) -> int:
 # builtin registry and b-file format
 
 
+_BUILTIN_TERMS: dict[str, Callable[[int], object]] = {
+    "a": a_recursion,
+    "b": lambda n: a_recursion(n).numerator,
+    "d": d_shape_closed_form,
+    "e": e_sequence,
+    "t": thue_morse,
+    "tcal": t_sequence,
+    "a131271": _a131271_flat,
+}
+BUILTIN_SEQUENCE_NAMES = tuple(_BUILTIN_TERMS)
+
+
 def builtin_sequence(name: str) -> Sequence:
     """Fresh producer for one of the builtin sequence names."""
-    term_fns: dict[str, Callable[[int], object]] = {
-        "a": a_recursion,
-        "b": lambda n: a_recursion(n).numerator,
-        "d": d_shape_closed_form,
-        "e": e_sequence,
-        "t": thue_morse,
-        "tcal": t_sequence,
-        "a131271": _a131271_flat,
-    }
     try:
-        fn = term_fns[name]
+        fn = _BUILTIN_TERMS[name]
     except KeyError:
         raise ValueError(
-            f"unknown builtin sequence {name!r}; expected one of {sorted(term_fns)}"
+            f"unknown builtin sequence {name!r}; expected one of {sorted(_BUILTIN_TERMS)}"
         ) from None
     return Sequence(fn, name=name)
-
-
-BUILTIN_SEQUENCE_NAMES = ("a", "b", "d", "e", "t", "tcal", "a131271")
 
 
 def b_file_text(seq: Sequence, count: int, offset: int = 0) -> str:

@@ -124,7 +124,7 @@ def test_criterion_04_cross_oracles():
 
 
 def test_criterion_05_triangle_agreement():
-    flat = a131271_triangle(11).flatten()
+    flat = [v for row in a131271_triangle(11) for v in row]
     count = 2**12 - 1
     ok = len(flat) == count and all(
         flat[i] == modified_b_sequence(i + 1) for i in range(count)

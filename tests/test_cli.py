@@ -83,6 +83,13 @@ class TestRun:
         assert code == 2
         assert "error" in err
 
+    def test_start_option_removed(self, capsys):
+        # runs start from the document's start state; there is no override
+        with pytest.raises(SystemExit) as exc:
+            main(["run", TM, "10", "--start", "q1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --start q1" in capsys.readouterr().err
+
 
 class TestSequence:
     def test_charge_prefix_lines(self, capsys):
@@ -122,6 +129,16 @@ class TestSequence:
         code, out, err = run_cli(capsys, "sequence", str(letters), "--count", "3")
         assert (code, out) == (2, "")
         assert "alphabet ('a', 'b') is not the base-2 digits ['0', '1']" in err
+
+    def test_count_limit_boundary(self, capsys, monkeypatch):
+        import ddfa.cli
+
+        monkeypatch.setattr(ddfa.cli, "WORK_LIMIT", 4)
+        code, out, _ = run_cli(capsys, "sequence", TM, "--count", "4")
+        assert (code, out) == (0, "0 1/2\n1 1/2\n2 1/4\n3 3/4\n")
+        code, out, err = run_cli(capsys, "sequence", TM, "--count", "5")
+        assert (code, out) == (2, "")
+        assert "--count 5 is over the limit of 4 terms" in err
 
 
 class TestValidate:
@@ -331,6 +348,18 @@ class TestSearch:
         assert code == 1
         assert "cover incomplete" in out
 
+    def test_negative_exponent_bound_exit_two_and_no_spec(self, capsys, tmp_path):
+        path = tmp_path / "constant.txt"
+        path.write_text("".join(f"{n} 3\n" for n in range(64)))
+        out_path = tmp_path / "spec.json"
+        code, out, err = run_cli(
+            capsys, "search", "--seq", str(path), "--E", "-1", "--level", "0",
+            "--max", "32", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert "exponent bound E must be >= 0, got -1" in err
+        assert not out_path.exists()
+
 
 class TestKernel:
     def test_thue_morse_two_vectors(self, capsys):
@@ -377,8 +406,10 @@ class TestWorkLimit:
         (["kernel", "--seq", "t", "--k", "1"], "base k must be >= 2"),
         (["kernel", "--seq", "BFILE", "--depth", "1", "--window", "16"],
          "line 1: '1e1000000' is not a rational literal"),
+        (["sequence", TM, "--count", "10000000"],
+         "--count 10000000 is over the limit of 2000000 terms"),
     ], ids=["verify-huge-E", "verify-depth", "search-level", "kernel-depth", "kernel-k",
-            "bfile-exponent"])
+            "bfile-exponent", "sequence-count"])
     def test_rejected_before_work_starts(self, tmp_path, argv, message):
         # the timeout keeps a regression that starts the work from hanging the suite
         huge = tmp_path / "huge.json"
@@ -409,21 +440,23 @@ class TestDot:
 
 
 class TestRunRecord:
-    def test_consistent_with_trajectory(self):
-        from fractions import Fraction
+    """What `ddfa run` prints of a charge run: snapshots, final pair, reduced value."""
 
-        from ddfa.discharge import build_fr_ddfao, charge_trajectory, run_record
+    def test_consistent_with_trajectory(self, capsys):
+        from ddfa.discharge import build_fr_ddfao, charge_trajectory
 
-        fr = build_fr_ddfao()
-        record = run_record(fr, "q0", "1010", {q: Fraction(1) for q in
-                                               ("q0", "q1", "q2", "q3")})
-        assert record.snapshots == charge_trajectory(fr, "q0", "1010")
-        assert (record.final_state, record.final_charge) == ("q2", Fraction(7, 8))
-        assert record.reduced is not None and record.reduced.value == Fraction(7, 8)
+        code, out, _ = run_cli(capsys, "run", FR, "1010", "--trace")
+        assert code == 0
+        snapshots = charge_trajectory(build_fr_ddfao(), "q0", "1010")
+        lines = out.splitlines()
+        assert len(lines) == len(snapshots) + 2
+        for line, (state, vector) in zip(lines, snapshots):
+            assert line.endswith(f"{state}  " + " ".join(f"{q}={x}" for q, x in vector.items()))
+        assert lines[-2:] == ["q2 7/8", "reduced 7/8"]
 
     @pytest.mark.parametrize("document, valued", [(TM, False), (FR, True)],
                              ids=["tm_ddfa", "fr_ddfao"])
-    def test_one_step_per_symbol(self, monkeypatch, document, valued):
+    def test_one_step_per_symbol(self, capsys, monkeypatch, document, valued):
         import ddfa.discharge
 
         steps = []
@@ -434,19 +467,15 @@ class TestRunRecord:
             return original(*args)
 
         monkeypatch.setattr(ddfa.discharge, "charge_step", counting)
-        doc = ddfa.parse_document(Path(document).read_text(encoding="utf-8"))
-        auto = doc.automaton
-        record = ddfa.run_record(auto, auto.start, "1010", doc.valuation)
-        assert (record.reduced is not None) == valued
+        code, out, _ = run_cli(capsys, "run", document, "1010")
+        assert code == 0
+        assert ("\nreduced " in out) == valued
         assert steps == list("1010")
 
-    def test_no_valuation_no_reduced(self):
-        from ddfa.discharge import build_tm_ddfa, run_record
-
-        record = run_record(build_tm_ddfa(), "q0", "")
-        assert record.reduced is None
-        assert (record.final_state, record.final_charge) == ("q0", 1)
-        assert len(record.snapshots) == 1
+    def test_no_valuation_no_reduced(self, capsys):
+        code, out, _ = run_cli(capsys, "run", TM, "", "--trace")
+        assert code == 0
+        assert out.splitlines() == ["step 0: start q0  q0=1 q1=0", "q0 1"]
 
 
 class TestGoldens:

@@ -12,6 +12,7 @@ from ddfa.automata import (
 )
 from ddfa.discharge import (
     DischargeRuleSet,
+    ReducedResult,
     build_fr_ddfao,
     build_tm_ddfa,
     charge_step,
@@ -19,7 +20,6 @@ from ddfa.discharge import (
     degenerate_ddfa,
     delta_c,
     reduced_delta_c,
-    reduced_output,
     unit_charge,
     validate_rules,
 )
@@ -193,19 +193,22 @@ class TestReducedForms:
 
     def test_reduced_output_uses_output_map(self):
         fr = build_fr_ddfao()
-        assert reduced_output(fr, "q0", "10") == F(1, 4)  # ends on q3, output 1
-        assert reduced_output(fr, "q0", "1010") == 0  # ends on q2, output 0
+        # ends on q3, output 1
+        assert reduced_delta_c(fr, fr.output, "q0", "10") == ReducedResult(None, F(1, 4))
+        # ends on q2, output 0
+        assert reduced_delta_c(fr, fr.output, "q0", "1010") == ReducedResult(None, 0)
 
     def test_reduced_output_with_all_ones_output(self):
         fr = build_fr_ddfao()
         ones = replace(fr, output={q: F(1) for q in fr.states})
-        assert reduced_output(ones, "q0", "1010") == F(7, 8)
+        assert reduced_delta_c(ones, ones.output, "q0", "1010") == ReducedResult(None, F(7, 8))
 
     def test_reduced_output_degenerate_equals_plain_output(self, rng):
         auto = degenerate_ddfa(build_tm_dfao())
         for _ in range(50):
             word = random_word(rng, ("0", "1"), 20)
-            assert reduced_output(auto, "q0", word) == dfao_output(build_tm_dfao(), word)
+            result = reduced_delta_c(auto, auto.output, "q0", word)
+            assert result == ReducedResult(None, dfao_output(build_tm_dfao(), word))
 
 
 class TestDegenerate:

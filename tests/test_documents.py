@@ -57,7 +57,7 @@ class TestRationals:
 class TestParseDocument:
     def test_shipped_tm_ddfa_matches_builder(self):
         doc = parse_document(corpus_text("tm_ddfa.json"))
-        assert doc.kind == "ddfa"
+        assert doc.automaton.kind == "ddfa"
         assert doc.automaton == build_tm_ddfa()
 
     def test_shipped_fr_ddfao_matches_builder(self):
@@ -97,7 +97,7 @@ class TestParseDocument:
         with pytest.raises(DocumentError, match="missing transition"):
             parse_document(json.dumps(obj))
         doc = parse_document(json.dumps(obj), check=False)
-        assert doc.kind == "ddfa"
+        assert doc.automaton.kind == "ddfa"
 
     def test_bad_kind_rejected(self):
         with pytest.raises(DocumentError, match="kind"):

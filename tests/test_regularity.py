@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddfa.documents import serialize_spec_document
+from ddfa.documents import corpus_path, parse_spec_document, serialize_spec_document
 from ddfa.regularity import (
     AffineCombination,
     MissingMenuError,
@@ -190,6 +190,71 @@ class TestVerify:
             verify_quasi_k_regular(unread, t_singleton_spec(), 999_999, 1)
         with pytest.raises(SpecError, match=r"2\^1 \* 1000001 evaluations"):
             verify_quasi_k_regular(unread, t_singleton_spec(), 1_000_000, 1)
+
+
+# Every menu verify derives above the base level for the shipped specs, as
+# (constant, ((coeff, f, b), ...)) per option, in the order composition gives.
+COMPOSED_MENUS = {
+    "e": {
+        (3, 0): [(0, ((1, 1, 0),))],
+        (3, 1): [(0, ((1, 1, 0),)), (1, ((2, 0, 0),)), (3, ((4, 1, 1),))],
+        (3, 2): [(0, ((1, 0, 0),)), (1, ((2, 1, 1),))],
+        (3, 3): [(0, ((1, 1, 0),)), (0, ((1, 0, 0),)), (1, ((2, 1, 1),))],
+        (3, 4): [(0, ((1, 1, 1),))],
+        (3, 5): [(0, ((1, 1, 1),)), (1, ((2, 0, 0),)), (1, ((2, 1, 1),))],
+        (3, 6): [(0, ((1, 0, 0),)), (0, ((1, 1, 1),))],
+        (3, 7): [(0, ((1, 1, 1),)), (0, ((1, 0, 0),))],
+        (4, 0): [(0, ((1, 0, 0),))],
+        (4, 1): [(0, ((1, 0, 0),)), (1, ((2, 1, 0),)), (3, ((4, 0, 0),)),
+                 (7, ((8, 1, 1),))],
+        (4, 2): [(0, ((1, 1, 0),)), (1, ((2, 0, 0),)), (3, ((4, 1, 1),))],
+        (4, 3): [(0, ((1, 0, 0),)), (0, ((1, 1, 0),)), (1, ((2, 0, 0),)),
+                 (3, ((4, 1, 1),))],
+        (4, 4): [(0, ((1, 0, 0),)), (1, ((2, 1, 1),))],
+        (4, 5): [(0, ((1, 0, 0),)), (1, ((2, 1, 1),)), (1, ((2, 1, 0),)),
+                 (1, ((2, 0, 0),)), (3, ((4, 1, 1),))],
+        (4, 6): [(0, ((1, 1, 0),)), (0, ((1, 0, 0),)), (1, ((2, 1, 1),))],
+        (4, 7): [(0, ((1, 0, 0),)), (1, ((2, 1, 1),)), (0, ((1, 1, 0),))],
+        (4, 8): [(0, ((1, 1, 1),))],
+        (4, 9): [(0, ((1, 1, 1),)), (1, ((2, 1, 1),)), (3, ((4, 0, 0),)),
+                 (3, ((4, 1, 1),))],
+        (4, 10): [(0, ((1, 1, 1),)), (1, ((2, 0, 0),)), (1, ((2, 1, 1),))],
+        (4, 11): [(0, ((1, 1, 1),)), (1, ((2, 0, 0),)), (1, ((2, 1, 1),))],
+        (4, 12): [(0, ((1, 0, 0),)), (0, ((1, 1, 1),))],
+        (4, 13): [(0, ((1, 0, 0),)), (0, ((1, 1, 1),)), (1, ((2, 1, 1),)),
+                  (1, ((2, 0, 0),))],
+        (4, 14): [(0, ((1, 1, 1),)), (0, ((1, 0, 0),))],
+        (4, 15): [(0, ((1, 0, 0),)), (0, ((1, 1, 1),))],
+    },
+    "tcal": {
+        (2, 0): [(0, ((1, 0, 0),)), (1, ((-1, 0, 0),))],
+        (2, 1): [(1, ((-1, 0, 0),)), (0, ((1, 0, 0),))],
+        (2, 2): [(1, ((-1, 0, 0),)), (0, ((1, 0, 0),))],
+        (2, 3): [(0, ((1, 0, 0),))],
+        (3, 0): [(0, ((1, 0, 0),)), (1, ((-1, 0, 0),))],
+        (3, 1): [(1, ((-1, 0, 0),)), (0, ((1, 0, 0),))],
+        (3, 2): [(1, ((-1, 0, 0),)), (0, ((1, 0, 0),))],
+        (3, 3): [(0, ((1, 0, 0),)), (1, ((-1, 0, 0),))],
+        (3, 4): [(1, ((-1, 0, 0),)), (0, ((1, 0, 0),))],
+        (3, 5): [(0, ((1, 0, 0),)), (1, ((-1, 0, 0),))],
+        (3, 6): [(0, ((1, 0, 0),)), (1, ((-1, 0, 0),))],
+        (3, 7): [(1, ((-1, 0, 0),))],
+    },
+}
+
+
+class TestComposedMenus:
+    @pytest.mark.parametrize("name", sorted(COMPOSED_MENUS))
+    def test_options_and_order_pinned(self, name):
+        spec = parse_spec_document(
+            corpus_path(f"{name}_quasi_spec.json").read_text(encoding="utf-8"))
+        report = verify_quasi_k_regular(builtin_sequence(name), spec, 64, 3)
+        derived = {
+            key: [(opt.constant, tuple((t.coeff, t.f, t.b) for t in opt.terms))
+                  for opt in level.menu.options]
+            for key, level in report.levels.items() if key[0] >= spec.E + 2
+        }
+        assert derived == COMPOSED_MENUS[name]
 
 
 class TestKRegularSpecialCase:

@@ -101,32 +101,31 @@ class TestModifiedB:
 
 class TestTriangle:
     def test_row_zero(self):
-        assert a131271_triangle(0).rows == ((1,),)
+        assert a131271_triangle(0) == ((1,),)
 
     def test_row_two(self):
-        assert a131271_triangle(2).rows[2] == (1, 4, 2, 3)
+        assert a131271_triangle(2)[2] == (1, 4, 2, 3)
 
     def test_row_three(self):
         # oracle: two manual passes of the interleave-and-reflect step
         # from row 2 = (1, 4, 2, 3) with 2^3 + 1 = 9 as the reflector
-        assert a131271_triangle(3).rows[3] == (1, 8, 4, 5, 2, 7, 3, 6)
+        assert a131271_triangle(3)[3] == (1, 8, 4, 5, 2, 7, 3, 6)
 
     def test_rows_are_permutations(self):
-        triangle = a131271_triangle(8)
-        for n, row in enumerate(triangle.rows):
+        for n, row in enumerate(a131271_triangle(8)):
             assert sorted(row) == list(range(1, 2**n + 1))
 
     def test_first_column_is_one(self):
-        for row in a131271_triangle(8).rows:
+        for row in a131271_triangle(8):
             assert row[0] == 1
 
     def test_flatten_matches_shifted_modified_b(self):
-        flat = a131271_triangle(6).flatten()
+        flat = [v for row in a131271_triangle(6) for v in row]
         assert flat == [modified_b_sequence(i + 1) for i in range(len(flat))]
 
     def test_flat_producer_matches_rows(self):
         seq = builtin_sequence("a131271")
-        assert seq.prefix(127) == a131271_triangle(6).flatten()
+        assert seq.prefix(127) == [v for row in a131271_triangle(6) for v in row]
 
     def test_negative_depth_raises(self):
         with pytest.raises(ValueError):
