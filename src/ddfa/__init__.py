@@ -53,6 +53,7 @@ from .regularity import (
     RelationMenu,
     RelationTerm,
     SearchResult,
+    Sequence,
     SpecError,
     VerificationReport,
     describe_combination,
@@ -63,7 +64,6 @@ from .regularity import (
     verify_quasi_k_regular,
 )
 from .sequences import (
-    Sequence,
     a131271_triangle,
     a_recursion,
     b_file_text,

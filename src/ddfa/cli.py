@@ -22,6 +22,7 @@ from .documents import (
 )
 from .regularity import (
     WORK_LIMIT,
+    Sequence,
     SpecError,
     describe_combination,
     search_relation_menus,
@@ -31,7 +32,6 @@ from .regularity import (
 from .sequences import (
     BUILTIN_SEQUENCE_NAMES,
     SCALED_CHARGE_NAMES,
-    Sequence,
     builtin_sequence,
     b_file_text,
     final_charge_sequence,
@@ -53,11 +53,18 @@ def _read(path: str) -> str:
         raise DocumentError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from None
+
+
 def _load_sequence(name_or_path: str) -> Sequence:
     if name_or_path in BUILTIN_SEQUENCE_NAMES:
         return builtin_sequence(name_or_path)
     if Path(name_or_path).exists():
-        return read_b_file(_read(name_or_path), name=name_or_path)
+        return read_b_file(_read(name_or_path))
     raise DocumentError(
         f"{name_or_path!r} is neither a builtin sequence {BUILTIN_SEQUENCE_NAMES} "
         "nor an existing file"
@@ -110,6 +117,8 @@ def cmd_sequence(args) -> int:
         raise DocumentError(f"--count must be >= 1, got {args.count}")
     if args.count > WORK_LIMIT:
         raise DocumentError(f"--count {args.count} is over the limit of {WORK_LIMIT} terms")
+    if args.offset < 0:
+        raise DocumentError(f"--offset must be >= 0, got {args.offset}")
     if args.form == "charge":
         seq = final_charge_sequence(auto)
     elif args.form == "reduced":
@@ -126,7 +135,7 @@ def cmd_sequence(args) -> int:
     text = b_file_text(seq, args.count, args.offset)
     sys.stdout.write(text)
     if args.bfile:
-        Path(args.bfile).write_text(text, encoding="ascii")
+        _write(args.bfile, text)
     return EXIT_OK
 
 
@@ -204,8 +213,7 @@ def cmd_search(args) -> int:
         note = "" if not holes else f"  UNCOVERED {holes[:8]}"
         print(f"level ({e},{r}): {options or '(nothing matched)'}{note}")
     if result.complete and args.out:
-        Path(args.out).write_text(serialize_spec_document(result.to_spec()),
-                                  encoding="utf-8")
+        _write(args.out, serialize_spec_document(result.to_spec()))
         print(f"wrote spec to {args.out}")
     if result.complete:
         print("cover complete")

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-IntSequence = Callable[[int], int]
+Sequence = Callable[[int], object]  # n -> term, raising ValueError off its domain
 
 # Most term evaluations (or search candidates) one call may plan; checked
 # before any work starts, so a huge exponent fails fast instead of running.
@@ -51,12 +51,12 @@ class AffineCombination:
     terms: tuple[RelationTerm, ...]
 
 
-def eval_combination(seq: IntSequence, comb: AffineCombination, n: int, k: int) -> int:
+def eval_combination(seq: Sequence, comb: AffineCombination, n: int, k: int) -> int:
     """Evaluate constant + sum coeff * seq(k^f n + b) at index n."""
     return comb.constant + sum(t.coeff * seq(k**t.f * n + t.b) for t in comb.terms)
 
 
-def _read_columns(seq: IntSequence, k: int, ns: range, keys) -> list[list]:
+def _read_columns(seq: Sequence, k: int, ns: range, keys) -> list[list]:
     """Columns [s(k^f n + b) for n in ns], one per (f, b) in keys.
 
     Reads go index by index, all keys at n before any at n + 1, as a
@@ -246,7 +246,7 @@ class VerificationReport:
 
 
 def verify_quasi_k_regular(
-    seq: IntSequence, spec: QuasiRegularitySpec, limit: int, depth: int = 3
+    seq: Sequence, spec: QuasiRegularitySpec, limit: int, depth: int = 3
 ) -> VerificationReport:
     """Check every menu level against the sequence for m <= n <= limit.
 
@@ -314,7 +314,7 @@ class SearchResult:
 
 
 def search_relation_menus(
-    seq: IntSequence,
+    seq: Sequence,
     k: int,
     E: int,
     m: int,
@@ -458,7 +458,7 @@ def _echelon_insert(basis: dict[int, list[int]], row: list[int]) -> None:
             row = [x // g for x in row]
 
 
-def k_kernel(seq: IntSequence, k: int, depth: int, window: int = 64) -> KernelReport:
+def k_kernel(seq: Sequence, k: int, depth: int, window: int = 64) -> KernelReport:
     """Enumerate truncated kernel vectors up to ``depth`` and rank them.
 
     A sequence with finitely many kernel vectors (or a kernel of bounded

@@ -13,7 +13,8 @@ names used by the command line are:
     tcal     0/1 recursion whose even branch switches on primality
     a131271  triangle of permutations of {1..2^n}, read row by row
 
-Every producer is exact: Fraction or int, never float.
+Every producer is exact: Fraction or int, never float. A sequence is its
+term function ``n -> value``, which raises ``ValueError`` off its domain.
 """
 
 from __future__ import annotations
@@ -25,33 +26,7 @@ from typing import Callable, Mapping
 from .automata import Automaton, base_k_word, build_tm_dfao, dfao_output
 from .discharge import build_fr_ddfao, build_tm_ddfa, delta_c, reduced_delta_c
 from .documents import parse_rational
-
-
-class Sequence:
-    """Deterministic indexed producer ``n -> value``.
-
-    A plain view: ``term(n)`` checks ``start`` and calls the term function.
-    Memos live with the producers, one per term value: the recursions keep
-    module-level caches, ``e_sequence`` has its own, charge sequences cache
-    per instance, the two ``scaled_charge_sequence`` producers are built once
-    per process and b-files read their table.
-    """
-
-    def __init__(self, term_fn: Callable[[int], object], start: int = 0, name: str = ""):
-        self._fn = term_fn
-        self.start = start
-        self.name = name
-
-    def term(self, n: int):
-        if n < self.start:
-            raise ValueError(f"sequence {self.name or '?'} starts at {self.start}, got {n}")
-        return self._fn(n)
-
-    __call__ = term
-
-    def prefix(self, count: int, start: int | None = None) -> list:
-        first = self.start if start is None else start
-        return [self.term(n) for n in range(first, first + count)]
+from .regularity import Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +51,7 @@ def final_charge_sequence(auto: Automaton) -> Sequence:
     def term(n: int) -> Fraction:
         return delta_c(auto, start, base_k_word(n, base)).final_charge
 
-    return Sequence(term, name="final-charge")
+    return term
 
 
 def reduced_value_sequence(auto: Automaton, valuation: Mapping[str, Fraction]) -> Sequence:
@@ -94,13 +69,12 @@ def reduced_value_sequence(auto: Automaton, valuation: Mapping[str, Fraction]) -
             raise ValueError(f"state {result.state} has no assigned value")
         return result.value
 
-    return Sequence(term, name="reduced-value")
+    return term
 
 
 def numerator_sequence(seq: Sequence) -> Sequence:
     """Numerators of an exact-rational sequence (already in lowest terms)."""
-    return Sequence(lambda n: seq.term(n).numerator, start=seq.start,
-                    name=f"numerators({seq.name})" if seq.name else "numerators")
+    return lambda n: seq(n).numerator
 
 
 _SCALED_CHARGE_BUILDERS: dict[str, Callable[[], Automaton]] = {
@@ -265,7 +239,7 @@ def thue_morse(n: int) -> int:
 # builtin registry and b-file format
 
 
-_BUILTIN_TERMS: dict[str, Callable[[int], object]] = {
+_BUILTIN_TERMS: dict[str, Sequence] = {
     "a": a_recursion,
     "b": lambda n: a_recursion(n).numerator,
     "d": d_shape_closed_form,
@@ -278,25 +252,24 @@ BUILTIN_SEQUENCE_NAMES = tuple(_BUILTIN_TERMS)
 
 
 def builtin_sequence(name: str) -> Sequence:
-    """Fresh producer for one of the builtin sequence names."""
+    """Term function of one of the builtin sequence names."""
     try:
-        fn = _BUILTIN_TERMS[name]
+        return _BUILTIN_TERMS[name]
     except KeyError:
         raise ValueError(
             f"unknown builtin sequence {name!r}; expected one of {sorted(_BUILTIN_TERMS)}"
         ) from None
-    return Sequence(fn, name=name)
 
 
 def b_file_text(seq: Sequence, count: int, offset: int = 0) -> str:
     """Plain-text listing "n value" per line, newline-terminated, no blank line."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    lines = [f"{n} {seq.term(n)}" for n in range(offset, offset + count)]
+    lines = [f"{n} {seq(n)}" for n in range(offset, offset + count)]
     return "\n".join(lines) + "\n"
 
 
-def read_b_file(text: str, name: str = "file") -> Sequence:
+def read_b_file(text: str) -> Sequence:
     """Parse "n value" lines (comments with # allowed) into a finite producer."""
     table: dict[int, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -322,4 +295,4 @@ def read_b_file(text: str, name: str = "file") -> Sequence:
         except KeyError:
             raise ValueError(f"index {n} not present in sequence file") from None
 
-    return Sequence(term, start=min(table, default=0), name=name)
+    return term

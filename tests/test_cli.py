@@ -117,6 +117,14 @@ class TestSequence:
         assert code == 0
         assert out_file.read_text() == out == "1 1\n2 1\n3 3\n4 1\n5 7\n"
 
+    @pytest.mark.parametrize("target", ["missing/b.txt", "."], ids=["no-parent", "directory"])
+    def test_unwritable_bfile_exit_two(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, _, err = run_cli(capsys, "sequence", TM, "--count", "3", "--bfile", str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert len(err.splitlines()) == 1
+
     def test_plain_dfa_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sequence", TM_DFAO, "--count", "3")
         assert code == 2
@@ -310,6 +318,19 @@ class TestVerify:
         assert code == 0
         assert "verified to depth 1" in out
 
+    def test_bfile_starting_above_m_exit_two(self, capsys, tmp_path):
+        from ddfa.sequences import b_file_text, builtin_sequence
+
+        path = tmp_path / "tcal.txt"  # the spec's m is 0; the file starts at 5
+        path.write_text(b_file_text(builtin_sequence("tcal"), 600, offset=5))
+        code, out, err = run_cli(
+            capsys, "verify", "--seq", str(path),
+            "--spec", str(corpus_path("tcal_quasi_spec.json")),
+            "--max", "64", "--depth", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: index 0 not present in sequence file\n"
+
 
 class TestSearch:
     def test_tcal_search_prints_menus(self, capsys):
@@ -337,16 +358,26 @@ class TestSearch:
         assert code == 0
 
     def test_incomplete_cover_exit_one(self, capsys, tmp_path):
-        from ddfa.sequences import Sequence, b_file_text
+        from ddfa.sequences import b_file_text
 
         path = tmp_path / "identity.txt"
-        path.write_text(b_file_text(Sequence(lambda n: n), 200))
+        path.write_text(b_file_text(lambda n: n, 200))
         code, out, _ = run_cli(
             capsys, "search", "--seq", str(path), "--E", "0", "--level", "1",
             "--coeff-bound", "1", "--max", "64",
         )
         assert code == 1
         assert "cover incomplete" in out
+
+    def test_unwritable_out_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "s.json"
+        code, _, err = run_cli(
+            capsys, "search", "--seq", "t", "--E", "0", "--level", "1",
+            "--max", "64", "--out", str(path),
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert len(err.splitlines()) == 1
 
     def test_negative_exponent_bound_exit_two_and_no_spec(self, capsys, tmp_path):
         path = tmp_path / "constant.txt"
@@ -408,8 +439,9 @@ class TestWorkLimit:
          "line 1: '1e1000000' is not a rational literal"),
         (["sequence", TM, "--count", "10000000"],
          "--count 10000000 is over the limit of 2000000 terms"),
+        (["sequence", TM, "--count", "3", "--offset", "-2"], "--offset must be >= 0, got -2"),
     ], ids=["verify-huge-E", "verify-depth", "search-level", "kernel-depth", "kernel-k",
-            "bfile-exponent", "sequence-count"])
+            "bfile-exponent", "sequence-count", "sequence-offset"])
     def test_rejected_before_work_starts(self, tmp_path, argv, message):
         # the timeout keeps a regression that starts the work from hanging the suite
         huge = tmp_path / "huge.json"

@@ -10,7 +10,7 @@ from ddfa.discharge import build_fr_ddfao, build_tm_ddfa
 from ddfa.documents import corpus_path, parse_spec_document
 from ddfa.regularity import verify_quasi_k_regular
 from ddfa.sequences import (
-    Sequence,
+    BUILTIN_SEQUENCE_NAMES,
     a131271_triangle,
     a_recursion,
     b_file_text,
@@ -65,16 +65,15 @@ class TestARecursion:
 
 class TestNumerators:
     def test_b_prefix(self):
-        sim = final_charge_sequence(build_tm_ddfa())
-        assert numerator_sequence(sim).prefix(25) == B_PREFIX
+        b = numerator_sequence(final_charge_sequence(build_tm_ddfa()))
+        assert [b(n) for n in range(25)] == B_PREFIX
 
     def test_e_prefix_from_automaton(self):
-        sim = final_charge_sequence(build_fr_ddfao())
-        assert numerator_sequence(sim).prefix(19) == E_PREFIX
+        e = numerator_sequence(final_charge_sequence(build_fr_ddfao()))
+        assert [e(n) for n in range(19)] == E_PREFIX
 
     def test_numerator_of_integer_one(self):
-        seq = Sequence(lambda n: F(1))
-        assert numerator_sequence(seq)(7) == 1
+        assert numerator_sequence(lambda n: F(1))(7) == 1
 
     def test_every_b_odd_below_2_16(self):
         for n in range(2**16):
@@ -125,7 +124,7 @@ class TestTriangle:
 
     def test_flat_producer_matches_rows(self):
         seq = builtin_sequence("a131271")
-        assert seq.prefix(127) == [v for row in a131271_triangle(6) for v in row]
+        assert [seq(n) for n in range(127)] == [v for row in a131271_triangle(6) for v in row]
 
     def test_negative_depth_raises(self):
         with pytest.raises(ValueError):
@@ -239,16 +238,18 @@ class TestThueMorse:
 
 class TestChargeSequences:
     def test_tm_prefix(self):
-        assert final_charge_sequence(build_tm_ddfa()).prefix(15) == A_PREFIX
+        seq = final_charge_sequence(build_tm_ddfa())
+        assert [seq(n) for n in range(15)] == A_PREFIX
 
     def test_fr_prefix(self):
-        assert final_charge_sequence(build_fr_ddfao()).prefix(17) == D_PREFIX
+        seq = final_charge_sequence(build_fr_ddfao())
+        assert [seq(n) for n in range(17)] == D_PREFIX
 
     def test_degenerate_is_constant_one(self):
         from ddfa.discharge import degenerate_ddfa
 
         seq = final_charge_sequence(degenerate_ddfa(build_tm_dfa()))
-        assert seq.prefix(64) == [F(1)] * 64
+        assert [seq(n) for n in range(64)] == [F(1)] * 64
 
     def test_base_mismatch_rejected(self):
         skipped_digit = replace(build_tm_ddfa(), alphabet=("0", "2"))
@@ -258,7 +259,7 @@ class TestChargeSequences:
     def test_reduced_value_sequence_with_unit_valuation(self):
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
         seq = reduced_value_sequence(build_fr_ddfao(), valuation)
-        assert seq.prefix(17) == D_PREFIX
+        assert [seq(n) for n in range(17)] == D_PREFIX
 
     @staticmethod
     def _count_delta_c(monkeypatch):
@@ -279,8 +280,8 @@ class TestChargeSequences:
     def test_final_charge_runs_once_per_index(self, monkeypatch):
         calls = self._count_delta_c(monkeypatch)
         seq = final_charge_sequence(build_tm_ddfa())
-        assert seq.prefix(15) == A_PREFIX
-        assert seq.prefix(15) == A_PREFIX
+        assert [seq(n) for n in range(15)] == A_PREFIX
+        assert [seq(n) for n in range(15)] == A_PREFIX
         assert seq(7) == A_PREFIX[7]
         assert len(calls) == 15
 
@@ -288,8 +289,8 @@ class TestChargeSequences:
         calls = self._count_delta_c(monkeypatch)
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
         seq = reduced_value_sequence(build_fr_ddfao(), valuation)
-        assert seq.prefix(17) == D_PREFIX
-        assert seq.prefix(17) == D_PREFIX
+        assert [seq(n) for n in range(17)] == D_PREFIX
+        assert [seq(n) for n in range(17)] == D_PREFIX
         assert len(calls) == 17
 
     @pytest.mark.parametrize("name,build", [("tm_ddfa", build_tm_ddfa),
@@ -298,13 +299,14 @@ class TestChargeSequences:
         shared = scaled_charge_sequence(name)
         assert scaled_charge_sequence(name) is shared
         fresh = numerator_sequence(final_charge_sequence(build()))
-        assert shared.prefix(2**12) == fresh.prefix(2**12)
+        assert [shared(n) for n in range(2**12)] == [fresh(n) for n in range(2**12)]
 
     def test_scaled_charge_terms_run_once_per_process(self, monkeypatch):
         scaled_charge_sequence.cache_clear()
         calls = self._count_delta_c(monkeypatch)
-        assert scaled_charge_sequence("tm_ddfa").prefix(25) == B_PREFIX
-        assert scaled_charge_sequence("tm_ddfa").prefix(25) == B_PREFIX
+        for _ in range(2):
+            seq = scaled_charge_sequence("tm_ddfa")
+            assert [seq(n) for n in range(25)] == B_PREFIX
         assert len(calls) == 25
 
     def test_scaled_charge_sequence_unknown_name(self):
@@ -325,10 +327,18 @@ class TestSequenceWrapper:
         assert second(777) == value
         assert e_sequence.cache_info().hits == hits + 1
 
-    def test_start_enforced(self):
-        seq = Sequence(lambda n: n, start=1)
+    @pytest.mark.parametrize("make", [
+        *[lambda name=name: builtin_sequence(name) for name in BUILTIN_SEQUENCE_NAMES],
+        lambda: final_charge_sequence(build_tm_ddfa()),
+        lambda: reduced_value_sequence(build_fr_ddfao(),
+                                       {q: F(1) for q in ("q0", "q1", "q2", "q3")}),
+        lambda: numerator_sequence(final_charge_sequence(build_fr_ddfao())),
+        lambda: read_b_file("0 1\n1 2\n"),
+    ], ids=[*BUILTIN_SEQUENCE_NAMES, "final-charge", "reduced-value", "numerators", "b-file"])
+    def test_negative_index_refused(self, make):
+        # a sequence is its term function; each producer refuses n < 0 itself
         with pytest.raises(ValueError):
-            seq(0)
+            make()(-1)
 
     def test_unknown_builtin_rejected(self):
         with pytest.raises(ValueError, match="unknown builtin"):
