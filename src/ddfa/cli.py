@@ -133,9 +133,9 @@ def cmd_sequence(args) -> int:
         )
         seq = numerator_sequence(inner)
     text = b_file_text(seq, args.count, args.offset)
-    sys.stdout.write(text)
     if args.bfile:
         _write(args.bfile, text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -207,13 +207,14 @@ def cmd_search(args) -> int:
         coeff_bound=args.coeff_bound,
         limit=args.max,
     )
+    if result.complete and args.out:
+        _write(args.out, serialize_spec_document(result.to_spec()))
     for (e, r), menu in sorted(result.menus.items()):
         options = " | ".join(describe_combination(opt, args.k) for opt in menu.options)
         holes = result.uncovered[(e, r)]
         note = "" if not holes else f"  UNCOVERED {holes[:8]}"
         print(f"level ({e},{r}): {options or '(nothing matched)'}{note}")
     if result.complete and args.out:
-        _write(args.out, serialize_spec_document(result.to_spec()))
         print(f"wrote spec to {args.out}")
     if result.complete:
         print("cover complete")

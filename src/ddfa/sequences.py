@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
+from math import lcm
 from typing import Callable, Mapping
 
 from .automata import Automaton, base_k_word, build_tm_dfao, dfao_output
-from .discharge import build_fr_ddfao, build_tm_ddfa, delta_c, reduced_delta_c
+from .discharge import build_fr_ddfao, build_tm_ddfa, reduce_charge
 from .documents import parse_rational
 from .regularity import Sequence
 
@@ -34,24 +35,93 @@ from .regularity import Sequence
 
 
 def _digit_base(auto: Automaton) -> int:
-    """The base k whose digits "0", ..., "k-1" are exactly the alphabet."""
+    """The base k >= 2 whose digits "0", ..., "k-1" are exactly the alphabet."""
     base = len(auto.alphabet)
+    if base < 2:
+        raise ValueError(
+            f"alphabet {auto.alphabet} has {base} symbol(s); base-k digits need at least two"
+        )
     digits = [str(i) for i in range(base)]
     if set(auto.alphabet) != set(digits):
         raise ValueError(f"alphabet {auto.alphabet} is not the base-{base} digits {digits}")
     return base
 
 
+def _scaled_step(
+    snapshot: tuple[int, ...], digit: int, moves: tuple, scale: int
+) -> tuple[int, ...]:
+    """``charge_step`` on a snapshot (state index, word length, charges...).
+
+    The charges are the run's charges times scale**length, and each weight
+    in ``moves[state][digit] = (next state, ((target, scale * weight), ...))``
+    is scaled once, so the charges stay integers.
+    """
+    state = snapshot[0]
+    moving = snapshot[2 + state]
+    target_state, edges = moves[state][digit]
+    charges = [c * scale for c in snapshot[2:]]
+    charges[state] = 0
+    for target, weight in edges:
+        charges[target] += moving * weight
+    return (target_state, snapshot[1] + 1, *charges)
+
+
+def _charge_runs(auto: Automaton) -> Callable[[int], tuple[str, Fraction]]:
+    """(final state, final charge) of the run on the base-k word of each n.
+
+    Equal to ``delta_c(auto, auto.start, base_k_word(n, k))``, computed on
+    integers: with D the lcm of the weight denominators, a snapshot after a
+    word of length L holds D**L times the charges. The word of n >= k is the
+    word of n // k plus one digit, so each index is stored as one step from
+    its parent's snapshot; the words of n < k extend the empty word.
+    Snapshots are int tuples, so the store holds no Fraction and no cycle,
+    and a racing write stores an equal tuple.
+    """
+    base = _digit_base(auto)
+    states, alphabet, transition = auto.states, auto.alphabet, auto.transition
+    weights = auto.rules.weights
+    index = {q: i for i, q in enumerate(states)}
+    scale = lcm(*(w.denominator for w in weights.values()))
+    moves = tuple(
+        tuple(
+            (
+                index[transition[(q, s)]],
+                tuple(
+                    (index[transition[(q, t)]], int(weights[(q, s, t)] * scale))
+                    for t in alphabet
+                    if weights[(q, s, t)]
+                ),
+            )
+            for s in map(str, range(base))
+        )
+        for q in states
+    )
+    # key -1 holds the empty word's snapshot, the parent of every n < k
+    store: dict[int, tuple[int, ...]] = {
+        -1: (index[auto.start], 0, *(int(q == auto.start) for q in states))
+    }
+
+    def run(n: int) -> tuple[str, Fraction]:
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
+        path = []
+        m = n
+        while m not in store:
+            path.append(m)
+            m = m // base if m >= base else -1
+        snapshot = store[m]
+        for m in reversed(path):
+            snapshot = store[m] = _scaled_step(snapshot, m % base, moves, scale)
+        state = snapshot[0]
+        return states[state], Fraction(snapshot[2 + state], scale ** snapshot[1])
+
+    return run
+
+
 def final_charge_sequence(auto: Automaton) -> Sequence:
     """Final charge of the run on the base-k expansion of each n, k = |alphabet|."""
-    base = _digit_base(auto)
-    start = auto.start
-
-    @cache
-    def term(n: int) -> Fraction:
-        return delta_c(auto, start, base_k_word(n, base)).final_charge
-
-    return term
+    run = _charge_runs(auto)
+    return lambda n: run(n)[1]
 
 
 def reduced_value_sequence(auto: Automaton, valuation: Mapping[str, Fraction]) -> Sequence:
@@ -59,12 +129,10 @@ def reduced_value_sequence(auto: Automaton, valuation: Mapping[str, Fraction]) -
 
     The valuation must cover every final state.
     """
-    base = _digit_base(auto)
-    start = auto.start
+    run = _charge_runs(auto)
 
-    @cache
     def term(n: int) -> Fraction:
-        result = reduced_delta_c(auto, valuation, start, base_k_word(n, base))
+        result = reduce_charge(valuation, *run(n))
         if not result.is_numeric:
             raise ValueError(f"state {result.state} has no assigned value")
         return result.value
@@ -88,7 +156,7 @@ SCALED_CHARGE_NAMES = tuple(_SCALED_CHARGE_BUILDERS)
 def scaled_charge_sequence(name: str) -> Sequence:
     """Numerators of the base-2 final charges of builtin automaton ``name``.
 
-    One producer per name and process, so every reader shares its term cache.
+    One producer per name and process, so every reader shares its snapshots.
     """
     try:
         build = _SCALED_CHARGE_BUILDERS[name]

@@ -120,8 +120,8 @@ class TestSequence:
     @pytest.mark.parametrize("target", ["missing/b.txt", "."], ids=["no-parent", "directory"])
     def test_unwritable_bfile_exit_two(self, capsys, tmp_path, target):
         path = tmp_path / target
-        code, _, err = run_cli(capsys, "sequence", TM, "--count", "3", "--bfile", str(path))
-        assert code == 2
+        code, out, err = run_cli(capsys, "sequence", TM, "--count", "3", "--bfile", str(path))
+        assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {path}: ")
         assert len(err.splitlines()) == 1
 
@@ -137,6 +137,19 @@ class TestSequence:
         code, out, err = run_cli(capsys, "sequence", str(letters), "--count", "3")
         assert (code, out) == (2, "")
         assert "alphabet ('a', 'b') is not the base-2 digits ['0', '1']" in err
+
+    def test_one_symbol_alphabet_exit_two(self, capsys, tmp_path):
+        one_digit = tmp_path / "one_digit.json"
+        one_digit.write_text(json.dumps({
+            "kind": "ddfa", "states": ["q0"], "alphabet": ["0"], "start": "q0",
+            "transitions": [{"from": "q0", "symbol": "0", "to": "q0"}],
+            "discharge": [{"state": "q0", "current": {"0": "1"}, "notCurrent": {}}],
+            "accepting": ["q0"],
+        }))
+        assert run_cli(capsys, "validate", str(one_digit))[0] == 0
+        code, out, err = run_cli(capsys, "sequence", str(one_digit), "--count", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: alphabet ('0',) has 1 symbol(s); base-k digits need at least two\n"
 
     def test_count_limit_boundary(self, capsys, monkeypatch):
         import ddfa.cli
@@ -371,11 +384,11 @@ class TestSearch:
 
     def test_unwritable_out_exit_two(self, capsys, tmp_path):
         path = tmp_path / "missing" / "s.json"
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "search", "--seq", "t", "--E", "0", "--level", "1",
             "--max", "64", "--out", str(path),
         )
-        assert code == 2
+        assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {path}: ")
         assert len(err.splitlines()) == 1
 

@@ -1,3 +1,4 @@
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -5,8 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddfa.automata import build_tm_dfa
-from ddfa.discharge import build_fr_ddfao, build_tm_ddfa
+from ddfa.automata import base_k_word, build_tm_dfa
+from ddfa.discharge import (
+    DischargeRuleSet,
+    build_fr_ddfao,
+    build_tm_ddfa,
+    delta_c,
+    reduced_delta_c,
+)
 from ddfa.documents import corpus_path, parse_spec_document
 from ddfa.regularity import verify_quasi_k_regular
 from ddfa.sequences import (
@@ -26,6 +33,8 @@ from ddfa.sequences import (
     t_sequence,
     thue_morse,
 )
+
+from conftest import random_ddfa
 
 F = Fraction
 
@@ -261,24 +270,34 @@ class TestChargeSequences:
         seq = reduced_value_sequence(build_fr_ddfao(), valuation)
         assert [seq(n) for n in range(17)] == D_PREFIX
 
+    def test_one_symbol_alphabet_rejected(self):
+        one_digit = replace(
+            build_tm_ddfa(),
+            alphabet=("0",),
+            transition={("q0", "0"): "q0", ("q1", "0"): "q1"},
+            rules=DischargeRuleSet({(q, "0", "0"): F(1) for q in ("q0", "q1")}),
+        )
+        for make in (final_charge_sequence,
+                     lambda auto: reduced_value_sequence(auto, {"q0": F(1), "q1": F(1)})):
+            with pytest.raises(ValueError, match=re.escape("alphabet ('0',) has 1 symbol(s)")):
+                make(one_digit)
+
     @staticmethod
-    def _count_delta_c(monkeypatch):
-        import ddfa.discharge
+    def _count_steps(monkeypatch):
         import ddfa.sequences
 
         calls = []
-        original = ddfa.discharge.delta_c
+        original = ddfa.sequences._scaled_step
 
-        def counting(auto, q, word):
-            calls.append(tuple(word))
-            return original(auto, q, word)
+        def counting(snapshot, digit, moves, scale):
+            calls.append(digit)
+            return original(snapshot, digit, moves, scale)
 
-        for module in (ddfa.discharge, ddfa.sequences):
-            monkeypatch.setattr(module, "delta_c", counting)
+        monkeypatch.setattr(ddfa.sequences, "_scaled_step", counting)
         return calls
 
     def test_final_charge_runs_once_per_index(self, monkeypatch):
-        calls = self._count_delta_c(monkeypatch)
+        calls = self._count_steps(monkeypatch)
         seq = final_charge_sequence(build_tm_ddfa())
         assert [seq(n) for n in range(15)] == A_PREFIX
         assert [seq(n) for n in range(15)] == A_PREFIX
@@ -286,12 +305,48 @@ class TestChargeSequences:
         assert len(calls) == 15
 
     def test_reduced_value_runs_once_per_index(self, monkeypatch):
-        calls = self._count_delta_c(monkeypatch)
+        calls = self._count_steps(monkeypatch)
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
         seq = reduced_value_sequence(build_fr_ddfao(), valuation)
         assert [seq(n) for n in range(17)] == D_PREFIX
         assert [seq(n) for n in range(17)] == D_PREFIX
         assert len(calls) == 17
+
+    def test_terms_equal_delta_c_in_any_order(self):
+        # the integer engine against the definition, on random automata and
+        # random valuations (some partial), indices read in shuffled order
+        rng = random.Random(0xC4A6)
+        checked = 0
+        while checked < 100:
+            auto = random_ddfa(rng)
+            base = len(auto.alphabet)
+            if base < 2:
+                continue
+            checked += 1
+            valuation = {q: F(rng.randint(1, 3), rng.randint(1, 2))
+                         for q in auto.states if rng.random() < 0.8}
+            charges = final_charge_sequence(auto)
+            reduced = reduced_value_sequence(auto, valuation)
+            indices = list(range(base**4)) + [rng.randrange(base**9) for _ in range(40)]
+            rng.shuffle(indices)
+            for n in indices:
+                word = base_k_word(n, base)
+                assert charges(n) == delta_c(auto, auto.start, word).final_charge
+                expected = reduced_delta_c(auto, valuation, auto.start, word)
+                if expected.is_numeric:
+                    assert reduced(n) == expected.value
+                else:
+                    with pytest.raises(ValueError, match="no assigned value"):
+                        reduced(n)
+
+    @pytest.mark.parametrize("build", [build_tm_ddfa, build_fr_ddfao], ids=["tm", "fr"])
+    def test_cold_window_equals_delta_c(self, build):
+        # a window read first, far from index 0, builds its ancestors itself
+        auto = build()
+        seq = final_charge_sequence(auto)
+        window = range(28672, 28672 + 2048)
+        assert [seq(n) for n in window] == [
+            delta_c(auto, auto.start, base_k_word(n, 2)).final_charge for n in window]
 
     @pytest.mark.parametrize("name,build", [("tm_ddfa", build_tm_ddfa),
                                             ("fr_ddfao", build_fr_ddfao)])
@@ -303,7 +358,7 @@ class TestChargeSequences:
 
     def test_scaled_charge_terms_run_once_per_process(self, monkeypatch):
         scaled_charge_sequence.cache_clear()
-        calls = self._count_delta_c(monkeypatch)
+        calls = self._count_steps(monkeypatch)
         for _ in range(2):
             seq = scaled_charge_sequence("tm_ddfa")
             assert [seq(n) for n in range(25)] == B_PREFIX
