@@ -32,8 +32,6 @@ from .discharge import (
     delta_c,
     equal_split_rules,
     reduce_charge,
-    reduced_delta_c,
-    unit_charge,
     validate_rules,
 )
 from .documents import (
@@ -57,7 +55,6 @@ from .regularity import (
     SpecError,
     VerificationReport,
     describe_combination,
-    eval_combination,
     k_kernel,
     search_relation_menus,
     validate_spec,

@@ -168,19 +168,25 @@ def to_dot(auto: Automaton) -> str:
     an invisible point node, and discharging variants annotate each edge
     with its weight when its own symbol is read, as "s: p/q". Node and edge
     order follow (state index, symbol index), so output is byte-stable.
+    Backslashes and double quotes in names are escaped.
     """
+    def quoted(text: str) -> str:
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     for q in auto.states:
         shape = "doublecircle" if q in auto.accepting else "circle"
         if auto.output is not None:
-            lines.append(f'  "{q}" [shape={shape}, label="{q}/{auto.output[q]}"];')
+            label = quoted(f"{q}/{auto.output[q]}")
+            lines.append(f"  {quoted(q)} [shape={shape}, label={label}];")
         else:
-            lines.append(f'  "{q}" [shape={shape}];')
-    lines.append(f'  __start -> "{auto.start}";')
+            lines.append(f"  {quoted(q)} [shape={shape}];")
+    lines.append(f"  __start -> {quoted(auto.start)};")
     for q in auto.states:
         for s in auto.alphabet:
             label = s if auto.rules is None else f"{s}: {auto.rules.weights[(q, s, s)]}"
-            lines.append(f'  "{q}" -> "{auto.transition[(q, s)]}" [label="{label}"];')
+            lines.append(
+                f"  {quoted(q)} -> {quoted(auto.transition[(q, s)])} [label={quoted(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

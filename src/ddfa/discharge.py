@@ -84,13 +84,6 @@ def validate_rules(auto: Automaton) -> ValidationReport:
     return report
 
 
-def unit_charge(auto: Automaton, q: str) -> ChargeVector:
-    """Charge vector with all mass on ``q``, dense over the state list."""
-    if q not in auto.states:
-        raise ValueError(f"unknown state {q!r}")
-    return {p: (ONE if p == q else ZERO) for p in auto.states}
-
-
 def charge_step(
     auto: Automaton, current: str, vector: ChargeVector, symbol: str
 ) -> tuple[str, ChargeVector]:
@@ -115,9 +108,11 @@ def charge_step(
 def charge_trajectory(
     auto: Automaton, q: str, word: Iterable[str]
 ) -> list[tuple[str, ChargeVector]]:
-    """All (current state, charge vector) snapshots of a run, initial one included."""
+    """All (current state, charge vector) snapshots of a run from unit charge on ``q``."""
+    if q not in auto.states:
+        raise ValueError(f"unknown state {q!r}")
     state = q
-    vector = unit_charge(auto, q)
+    vector = {p: (ONE if p == q else ZERO) for p in auto.states}
     snapshots = [(state, vector)]
     for s in word:
         state, vector = charge_step(auto, state, vector, s)
@@ -130,21 +125,8 @@ def delta_c(auto: Automaton, q: str, word: Iterable[str]) -> ChargeResult:
 
     The empty word yields (q, 1).
     """
-    state = q
-    vector = unit_charge(auto, q)
-    for s in word:
-        state, vector = charge_step(auto, state, vector, s)
+    state, vector = charge_trajectory(auto, q, word)[-1]
     return ChargeResult(state, vector[state])
-
-
-def reduced_delta_c(
-    auto: Automaton,
-    valuation: Mapping[str, Fraction] | None,
-    q: str,
-    word: Iterable[str],
-) -> ReducedResult:
-    """Collapse the charge run of ``word`` from ``q`` against a valuation."""
-    return reduce_charge(valuation, *delta_c(auto, q, word))
 
 
 def reduce_charge(
@@ -169,19 +151,15 @@ def equal_split_rules(base: Automaton) -> DischargeRuleSet:
     return DischargeRuleSet(dict.fromkeys(keys, Fraction(1, len(base.alphabet))))
 
 
-def degenerate_rules(base: Automaton) -> DischargeRuleSet:
-    """Weight 1 on the edge taken, 0 elsewhere: charge follows the run undivided."""
-    keys = product(base.states, base.alphabet, base.alphabet)
-    return DischargeRuleSet({(q, s, t): ONE if t == s else ZERO for q, s, t in keys})
-
-
 def degenerate_ddfa(base: Automaton) -> Automaton:
-    """Give an automaton the degenerate rule set.
+    """Give an automaton the degenerate rule set: weight 1 on the edge taken.
 
     The resulting runs keep the full unit charge on the current state, so
     they reproduce plain transition behavior exactly.
     """
-    return replace(base, rules=degenerate_rules(base))
+    keys = product(base.states, base.alphabet, base.alphabet)
+    return replace(base, rules=DischargeRuleSet(
+        {(q, s, t): ONE if t == s else ZERO for q, s, t in keys}))
 
 
 def build_tm_ddfa() -> Automaton:

@@ -176,6 +176,8 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
             _check_keys(entry, {"state", "current", "notCurrent"},
                         {"state", "current", "notCurrent"}, where)
             q = _name(entry["state"], f"{where}.state")
+            if q not in states:
+                raise DocumentError(f"{where}: unknown state {q!r}")
             if q in seen_states:
                 raise DocumentError(f"{where}: duplicate discharge entry for state {q}")
             seen_states.add(q)

@@ -51,11 +51,6 @@ class AffineCombination:
     terms: tuple[RelationTerm, ...]
 
 
-def eval_combination(seq: Sequence, comb: AffineCombination, n: int, k: int) -> int:
-    """Evaluate constant + sum coeff * seq(k^f n + b) at index n."""
-    return comb.constant + sum(t.coeff * seq(k**t.f * n + t.b) for t in comb.terms)
-
-
 def _read_columns(seq: Sequence, k: int, ns: range, keys) -> list[list]:
     """Columns [s(k^f n + b) for n in ns], one per (f, b) in keys.
 

@@ -170,5 +170,11 @@ class TestToDot:
         dot = to_dot(build_fr_ddfao())
         assert '[label="0: 1/2"]' in dot
 
+    def test_backslash_and_quote_escaped_in_output_labels(self):
+        name = 'a\\"b'  # a, backslash, double quote, b
+        dot = to_dot(Automaton((name,), ("0",), {(name, "0"): name}, name, output={name: 1}))
+        assert '  "a\\\\\\"b" [shape=circle, label="a\\\\\\"b/1"];\n' in dot
+        assert '  __start -> "a\\\\\\"b";\n' in dot
+
     def test_deterministic(self):
         assert to_dot(build_tm_dfa()) == to_dot(build_tm_dfa())

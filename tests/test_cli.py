@@ -209,6 +209,16 @@ class TestValidate:
             assert code == 2, argv
             assert "notCurrent[0]: names the read symbol '0'" in err
 
+    def test_discharge_entry_for_unknown_state_exit_two(self, capsys, tmp_path):
+        obj = json.loads(corpus_path("tm_ddfa.json").read_text())
+        obj["discharge"].append({"state": "B", "current": {}, "notCurrent": {}})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        for argv in (["validate", str(bad)], ["run", str(bad), "1"]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert "discharge[2]: unknown state 'B'" in err
+
     def test_module_entry_point_runs_without_warnings(self):
         result = run_module("-W", "error::RuntimeWarning", "-m", "ddfa.cli", "validate", TM,
                             capture_output=True, timeout=60)
@@ -477,6 +487,14 @@ class TestDot:
         assert code == 0
         assert out.startswith("digraph")
         assert out.count("->") == 5  # 4 transitions plus the start marker
+
+    def test_quoted_state_name_escaped(self, capsys, tmp_path):
+        doc = tmp_path / "quoted.json"
+        doc.write_text(Path(TM).read_text().replace('"q1"', '"q\\"1"'))
+        code, out, _ = run_cli(capsys, "dot", str(doc))
+        assert code == 0
+        assert '  "q\\"1" [shape=circle];\n' in out
+        assert '  "q0" -> "q\\"1" [label="1: 1/2"];\n' in out
 
     def test_unknown_sequence_name(self, capsys):
         code, _, err = run_cli(capsys, "kernel", "--seq", "nope")

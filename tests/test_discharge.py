@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddfa.automata import (
@@ -19,8 +20,7 @@ from ddfa.discharge import (
     charge_trajectory,
     degenerate_ddfa,
     delta_c,
-    reduced_delta_c,
-    unit_charge,
+    reduce_charge,
     validate_rules,
 )
 
@@ -91,7 +91,7 @@ class TestValidateRules:
 class TestChargeStep:
     def test_first_symbol_splits_unit_charge(self):
         tm = build_tm_ddfa()
-        state, vector = charge_step(tm, "q0", unit_charge(tm, "q0"), "1")
+        state, vector = charge_step(tm, "q0", {"q0": F(1), "q1": F(0)}, "1")
         assert state == "q1"
         assert vector == {"q0": F(1, 2), "q1": F(1, 2)}
 
@@ -105,7 +105,7 @@ class TestChargeStep:
         for _ in range(25):
             auto = degenerate_ddfa(random_dfa(rng))
             q = auto.start
-            vector = unit_charge(auto, q)
+            vector = {p: F(p == q) for p in auto.states}
             for s in random_word(rng, auto.alphabet, 16):
                 q, vector = charge_step(auto, q, vector, s)
                 assert vector[q] == 1
@@ -130,6 +130,10 @@ class TestDeltaC:
     def test_tm_single_one(self):
         assert delta_c(build_tm_ddfa(), "q0", "1") == ("q1", F(1, 2))
 
+    def test_unknown_state_rejected(self):
+        with pytest.raises(ValueError, match="unknown state"):
+            delta_c(build_tm_ddfa(), "nope", "")
+
 
 class TestChargeTrajectory:
     def test_tm_1010_charges_at_q0(self):
@@ -148,6 +152,10 @@ class TestChargeTrajectory:
         snapshots = charge_trajectory(tm, "q1", "")
         assert snapshots == [("q1", {"q0": 0, "q1": 1})]
 
+    def test_unknown_state_rejected(self):
+        with pytest.raises(ValueError, match="unknown state"):
+            charge_trajectory(build_tm_ddfa(), "nope", "1")
+
     def test_last_snapshot_matches_delta_c(self, rng):
         for _ in range(25):
             auto = random_ddfa(rng)
@@ -158,19 +166,19 @@ class TestChargeTrajectory:
 
 class TestReducedForms:
     def test_formal_pair_without_valuation(self):
-        result = reduced_delta_c(build_fr_ddfao(), None, "q0", "1010")
+        result = reduce_charge(None, *delta_c(build_fr_ddfao(), "q0", "1010"))
         assert not result.is_numeric
         assert (result.state, result.value) == ("q2", F(7, 8))
         assert str(result) == "7/8*q2"
 
     def test_all_ones_valuation_gives_numeric(self):
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
-        result = reduced_delta_c(build_fr_ddfao(), valuation, "q0", "1010")
+        result = reduce_charge(valuation, *delta_c(build_fr_ddfao(), "q0", "1010"))
         assert result.is_numeric
         assert result.value == F(7, 8)
 
     def test_zero_valued_final_state(self):
-        result = reduced_delta_c(build_fr_ddfao(), {"q2": F(0)}, "q0", "1010")
+        result = reduce_charge({"q2": F(0)}, *delta_c(build_fr_ddfao(), "q0", "1010"))
         assert result.is_numeric
         assert result.value == 0
 
@@ -188,26 +196,27 @@ class TestReducedForms:
         auto = replace(dfa, rules=rules)
         assert validate_rules(auto).ok
         assert delta_c(auto, "A", "0") == ("B", 0)
-        result = reduced_delta_c(auto, None, "A", "0")
+        result = reduce_charge(None, *delta_c(auto, "A", "0"))
         assert result.is_numeric and result.value == 0
 
     def test_reduced_output_uses_output_map(self):
         fr = build_fr_ddfao()
         # ends on q3, output 1
-        assert reduced_delta_c(fr, fr.output, "q0", "10") == ReducedResult(None, F(1, 4))
+        assert reduce_charge(fr.output, *delta_c(fr, "q0", "10")) == ReducedResult(None, F(1, 4))
         # ends on q2, output 0
-        assert reduced_delta_c(fr, fr.output, "q0", "1010") == ReducedResult(None, 0)
+        assert reduce_charge(fr.output, *delta_c(fr, "q0", "1010")) == ReducedResult(None, 0)
 
     def test_reduced_output_with_all_ones_output(self):
         fr = build_fr_ddfao()
         ones = replace(fr, output={q: F(1) for q in fr.states})
-        assert reduced_delta_c(ones, ones.output, "q0", "1010") == ReducedResult(None, F(7, 8))
+        result = reduce_charge(ones.output, *delta_c(ones, "q0", "1010"))
+        assert result == ReducedResult(None, F(7, 8))
 
     def test_reduced_output_degenerate_equals_plain_output(self, rng):
         auto = degenerate_ddfa(build_tm_dfao())
         for _ in range(50):
             word = random_word(rng, ("0", "1"), 20)
-            result = reduced_delta_c(auto, auto.output, "q0", word)
+            result = reduce_charge(auto.output, *delta_c(auto, "q0", word))
             assert result == ReducedResult(None, dfao_output(build_tm_dfao(), word))
 
 
@@ -223,7 +232,7 @@ class TestDegenerate:
             dfa = random_dfa(rng)
             auto = degenerate_ddfa(dfa)
             word = random_word(rng, dfa.alphabet)
-            result = reduced_delta_c(auto, None, dfa.start, word)
+            result = reduce_charge(None, *delta_c(auto, dfa.start, word))
             assert result.state == delta_star(dfa, dfa.start, word)
             assert result.value == 1
 
@@ -268,7 +277,7 @@ class TestInvariants:
     def test_conservation_and_range(self, pair):
         auto, word = pair
         state = auto.start
-        vector = unit_charge(auto, auto.start)
+        vector = {p: F(p == auto.start) for p in auto.states}
         for s in word:
             state, vector = charge_step(auto, state, vector, s)
             assert sum(vector.values()) == 1

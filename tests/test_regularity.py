@@ -12,8 +12,9 @@ from ddfa.regularity import (
     RelationMenu,
     RelationTerm,
     SpecError,
+    _combination_column,
+    _read_columns,
     describe_combination,
-    eval_combination,
     k_kernel,
     search_relation_menus,
     validate_spec,
@@ -61,17 +62,24 @@ def t_singleton_spec():
     })
 
 
+def combination_value(seq, comb, n, k):
+    """constant + sum coeff * seq(k^f n + b) at n, through the verifier's column code."""
+    keys = sorted({(t.f, t.b) for t in comb.terms})
+    columns = dict(zip(keys, _read_columns(seq, k, range(n, n + 1), keys)))
+    return _combination_column(comb, columns, 1)[0]
+
+
 class TestEvalCombination:
     def test_complement_on_tcal(self):
-        assert eval_combination(t_sequence, ONE_MINUS, 2, 2) == 0  # tcal(2) = 1
+        assert combination_value(t_sequence, ONE_MINUS, 2, 2) == 0  # tcal(2) = 1
 
     def test_identity(self):
         for n in (0, 3, 17):
-            assert eval_combination(e_sequence, S_N, n, 2) == e_sequence(n)
+            assert combination_value(e_sequence, S_N, n, 2) == e_sequence(n)
 
     def test_doubled_shifted_on_e(self):
         c = comb(1, (2, 1, 1))  # 2 s(2n+1) + 1
-        assert eval_combination(e_sequence, c, 1, 2) == 7  # 2 e(3) + 1
+        assert combination_value(e_sequence, c, 1, 2) == 7  # 2 e(3) + 1
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(-5, 5), st.lists(
@@ -82,8 +90,8 @@ class TestEvalCombination:
         single = comb(constant, *terms)
         double = comb(constant, *[(2 * c, f, b) for c, f, b in terms])
         for n in range(8):
-            lhs = eval_combination(t_sequence, double, n, 2) - constant
-            rhs = 2 * (eval_combination(t_sequence, single, n, 2) - constant)
+            lhs = combination_value(t_sequence, double, n, 2) - constant
+            rhs = 2 * (combination_value(t_sequence, single, n, 2) - constant)
             assert lhs == rhs
 
     def test_describe(self):
@@ -384,7 +392,7 @@ class TestKernel:
 
 
 def reference_levels(seq, report, k, m, limit):
-    """(option_hits, first_failure) per level, one eval_combination per index."""
+    """(option_hits, first_failure) per level, each option evaluated index by index."""
     levels = {}
     for key, level in report.levels.items():
         stride = k**level.e
@@ -394,7 +402,8 @@ def reference_levels(seq, report, k, m, limit):
             value = seq(stride * n + level.r)
             matched = False
             for i, opt in enumerate(level.menu.options):
-                if eval_combination(seq, opt, n, k) == value:
+                if opt.constant + sum(
+                        t.coeff * seq(k**t.f * n + t.b) for t in opt.terms) == value:
                     hits[i] += 1
                     matched = True
             if not matched and first_failure is None:

@@ -12,7 +12,7 @@ from ddfa.discharge import (
     build_fr_ddfao,
     build_tm_ddfa,
     delta_c,
-    reduced_delta_c,
+    reduce_charge,
 )
 from ddfa.documents import corpus_path, parse_spec_document
 from ddfa.regularity import verify_quasi_k_regular
@@ -332,7 +332,7 @@ class TestChargeSequences:
             for n in indices:
                 word = base_k_word(n, base)
                 assert charges(n) == delta_c(auto, auto.start, word).final_charge
-                expected = reduced_delta_c(auto, valuation, auto.start, word)
+                expected = reduce_charge(valuation, *delta_c(auto, auto.start, word))
                 if expected.is_numeric:
                     assert reduced(n) == expected.value
                 else:
