@@ -137,6 +137,9 @@ def main() -> int:
         "t_singleton_spec.verify.txt": (
             "verify", "--seq", "t", "--spec", str(CORPUS / "t_singleton_spec.json"),
             "--max", "512", "--depth", "2"),
+        "tcal.search.E2L3C1.txt": (
+            "search", "--seq", "tcal", "--E", "2", "--level", "3",
+            "--coeff-bound", "1", "--max", "200"),
     }
     for name, argv in goldens.items():
         (GOLDEN / name).write_text(capture_cli(*argv), encoding="utf-8")

@@ -325,6 +325,15 @@ def search_relation_menus(
     count of newly covered indices) of [m, limit] is returned; ties prefer
     fewer terms, then a smaller constant. Residues left with uncovered
     indices are reported, not fatal.
+
+    Whether a candidate hits index n depends only on the row of values
+    (s(k^level n + r) and the basis at n), so the work runs on distinct rows,
+    each weighted by its number of indices. When some option hits every
+    index, the greedy would take the least such option and nothing else;
+    it is found directly, stopping each coefficient vector at the first row
+    that disagrees, and the enumeration is skipped. The search space
+    span^size (span = 2 * coeff_bound + 1, size = basis terms plus the
+    constant) must stay within WORK_LIMIT.
     """
     validate_spec(QuasiRegularitySpec(k, E, m, {}))
     if coeff_bound < 1:
@@ -349,42 +358,108 @@ def search_relation_menus(
     coeff_range = range(-coeff_bound, coeff_bound + 1)
     for r in range(k**level):
         (target,) = _read_columns(seq, k, ns, [(level, r)])
-        # (tie-break key, indices hit); the key orders by fewer terms, then
-        # a smaller constant, then the (f, b, coeff) terms themselves.
-        candidates: list[tuple[tuple, frozenset[int]]] = []
-        for coeffs, residual in _residuals(target, columns, coeff_range):
-            # Indices by residual; a non-integer one (rational terms) is
-            # looked up by no constant.
-            buckets: dict = {}
-            for i, value in enumerate(residual):
-                if -coeff_bound <= value <= coeff_bound:
-                    buckets.setdefault(value, []).append(i)
-            if not buckets:
-                continue
-            terms = tuple((f, b, c) for c, (f, b) in zip(coeffs, basis) if c)
-            for constant in coeff_range:
-                hit = buckets.get(constant)
-                if hit:
-                    order = (len(terms), abs(constant), constant, terms)
-                    candidates.append((order, frozenset(hit)))
-        candidates.sort(key=lambda candidate: candidate[0])
-        chosen: list[AffineCombination] = []
-        uncovered = set(range(len(ns)))
-        while uncovered:
-            # In key order, so the first candidate with the largest gain wins ties.
-            best, best_gain = None, 0
-            for candidate in candidates:
-                gain = len(candidate[1] & uncovered)
-                if gain > best_gain:
-                    best, best_gain = candidate, gain
-            if best is None:
-                break
-            (_, _, constant, terms), hit_set = best
-            chosen.append(_canonical(constant, [RelationTerm(c, f, b) for f, b, c in terms]))
-            uncovered -= hit_set
-        result.menus[(level, r)] = RelationMenu(level, r, tuple(chosen))
-        result.uncovered[(level, r)] = sorted(m + i for i in uncovered)
+        classes: dict[tuple, list[int]] = {}  # row -> the indices with that row
+        for i, row in enumerate(zip(target, *columns)):
+            classes.setdefault(row, []).append(i)
+        rows = list(classes)
+        full = min(_full_covers(rows, basis, coeff_range), default=None)
+        if full is not None:
+            chosen, uncovered = [full], []
+        else:
+            weights = [len(indices) for indices in classes.values()]
+            chosen, uncovered = _greedy_cover(rows, weights, basis, coeff_range)
+        result.menus[(level, r)] = RelationMenu(level, r, tuple(
+            _canonical(constant, [RelationTerm(c, f, b) for f, b, c in terms])
+            for _, _, constant, terms in chosen
+        ))
+        result.uncovered[(level, r)] = sorted(
+            m + i for row in uncovered for i in classes[rows[row]]
+        )
     return result
+
+
+def _terms(coeffs, basis) -> tuple:
+    """The (f, b, coeff) terms of a coefficient vector, zeros left out."""
+    return tuple((f, b, c) for c, (f, b) in zip(coeffs, basis) if c)
+
+
+def _key(constant: int, terms: tuple) -> tuple:
+    """Tie-break key: fewer terms, then a smaller constant, then the terms themselves."""
+    return (len(terms), abs(constant), constant, terms)
+
+
+def _full_covers(rows: list[tuple], basis, coeff_range: range):
+    """Yield the key of each candidate that hits every row.
+
+    A row is (target, basis values). The constant is the first row's
+    residual and must equal an int in ``coeff_range``, which is what the
+    key holds. The first two rows are scored for every coefficient vector at
+    once, in product order; a vector agreeing on both is then checked row by
+    row up to the first that disagrees.
+    """
+    ints = {c: c for c in coeff_range}
+    scored = [_product_residuals(row, coeff_range) for row in rows[:2]]
+    vectors = itertools.product(coeff_range, repeat=len(basis))
+    for coeffs, value, other in zip(vectors, scored[0], scored[-1]):
+        if value != other or value not in ints:
+            continue
+        constant = ints[value]
+        if all(row[0] - sum(map(operator.mul, coeffs, row[1:])) == constant
+               for row in rows[2:]):
+            yield _key(constant, _terms(coeffs, basis))
+
+
+def _product_residuals(row: tuple, coeff_range: range) -> list:
+    """row[0] - sum c[j] * row[j + 1] for every coefficient vector c, in product order."""
+    values = [row[0]]
+    for x in row[1:]:
+        steps = [c * x for c in coeff_range]
+        values = [v - step for v in values for step in steps]
+    return values
+
+
+def _greedy_cover(rows: list[tuple], weights: list[int], basis, coeff_range: range):
+    """(chosen keys, rows left uncovered) of the greedy cover of weighted rows.
+
+    Each round takes the candidate with the largest summed weight of newly
+    hit rows, the least key among equals.
+    """
+    target, *columns = map(list, zip(*rows))
+    # Rows hit -> the least key hitting exactly those rows: the gain depends
+    # on the rows alone, so no other candidate with the same rows can win.
+    least: dict[tuple[int, ...], tuple] = {}
+    for coeffs, residual in _residuals(target, columns, coeff_range):
+        # Rows by residual; a non-integer one (rational terms) is looked up
+        # by no constant.
+        buckets: dict = {}
+        for row, value in enumerate(residual):
+            if coeff_range[0] <= value <= coeff_range[-1]:
+                buckets.setdefault(value, []).append(row)
+        if not buckets:
+            continue
+        terms = _terms(coeffs, basis)
+        for constant in coeff_range:
+            hit = buckets.get(constant)
+            if hit:
+                key, hit = _key(constant, terms), tuple(hit)
+                if hit not in least or key < least[hit]:
+                    least[hit] = key
+    candidates = sorted(((key, frozenset(hit)) for hit, key in least.items()),
+                        key=lambda candidate: candidate[0])
+    chosen: list[tuple] = []
+    uncovered = set(range(len(rows)))
+    while uncovered:
+        # In key order, so the first candidate with the largest gain wins ties.
+        best, best_gain = None, 0
+        for candidate in candidates:
+            gain = sum(map(weights.__getitem__, candidate[1] & uncovered))
+            if gain > best_gain:
+                best, best_gain = candidate, gain
+        if best is None:
+            break
+        chosen.append(best[0])
+        uncovered -= best[1]
+    return chosen, uncovered
 
 
 def _residuals(target: list, columns: list[list], coeff_range: range):

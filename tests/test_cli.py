@@ -32,6 +32,9 @@ GOLDEN_COMMANDS = {
     "t_singleton_spec.verify.txt": [
         "verify", "--seq", "t", "--spec", str(corpus_path("t_singleton_spec.json")),
         "--max", "512", "--depth", "2"],
+    "tcal.search.E2L3C1.txt": [
+        "search", "--seq", "tcal", "--E", "2", "--level", "3", "--coeff-bound", "1",
+        "--max", "200"],
 }
 
 

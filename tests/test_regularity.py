@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddfa import regularity
 from ddfa.documents import corpus_path, parse_spec_document, serialize_spec_document
 from ddfa.regularity import (
     AffineCombination,
@@ -518,6 +520,22 @@ class TestVerifyMatchesPerIndexReference:
             verify_quasi_k_regular(read_b_file(text), e_spec(), 60, 2)
 
 
+def seeded_b_file(seed, draw):
+    rng = random.Random(seed)
+    return read_b_file("".join(f"{n} {draw(rng)}\n" for n in range(512)))
+
+
+# Rational terms, and b-files with few rows (high multiplicity) or one per index.
+FEW_ROWS_OR_RATIONAL = {
+    "half": lambda n: Fraction(1, 2),
+    "three_halves_plus_parity": lambda n: Fraction(3, 2) + n % 2,
+    "a": builtin_sequence("a"),
+    "d": builtin_sequence("d"),
+    "b_file_few_values": seeded_b_file(17, lambda rng: rng.choice((0, 1, 1, 1))),
+    "b_file_distinct_values": seeded_b_file(18, lambda rng: rng.randrange(10**9)),
+}
+
+
 class TestSearchMatchesReference:
     @pytest.mark.parametrize("name", ["t", "tcal", "b", "e"])
     @pytest.mark.parametrize("coeff_bound,m,limit", [(1, 0, 64), (2, 0, 64), (2, 3, 40)])
@@ -534,6 +552,73 @@ class TestSearchMatchesReference:
         seq = builtin_sequence("a")
         found = search_relation_menus(seq, 2, 1, 0, 2, 1, 40)
         assert (found.menus, found.uncovered) == reference_search(seq, 2, 1, 0, 2, 1, 40)
+
+    @pytest.mark.parametrize("name", sorted(FEW_ROWS_OR_RATIONAL))
+    @pytest.mark.parametrize("E", [0, 1])
+    @pytest.mark.parametrize("coeff_bound", [1, 2])
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_rational_and_b_file_sequences(self, name, E, coeff_bound, m):
+        self.check(FEW_ROWS_OR_RATIONAL[name], E, m, E + 1, coeff_bound, 20)
+
+    def test_few_values_b_file_at_e2(self):
+        self.check(FEW_ROWS_OR_RATIONAL["b_file_few_values"], 2, 0, 3, 1, 8)
+
+    @staticmethod
+    def check(seq, E, m, level, coeff_bound, limit):
+        found = search_relation_menus(seq, 2, E, m, level, coeff_bound, limit)
+        assert (found.menus, found.uncovered) == \
+            reference_search(seq, 2, E, m, level, coeff_bound, limit)
+        for menu in found.menus.values():
+            assert all(type(opt.constant) is int for opt in menu.options)
+
+    def test_half_constant_is_no_integer_constant(self):
+        # Every index is hit by s(n) and by the rational 1/2, which no
+        # integer constant in the range equals: the cover is s(n).
+        found = search_relation_menus(lambda n: Fraction(1, 2), 2, 1, 0, 2, 1, 40)
+        assert found.complete
+        for menu in found.menus.values():
+            assert menu.options == (S_N,)
+
+
+def distinct_rows(seq, E, m, level, r, limit):
+    """The set of rows (s(2^level n + r), basis values at n) over [m, limit]."""
+    basis = [(f, b) for f in range(E + 1) for b in range(2**f)]
+    return {(seq(2**level * n + r), *(seq(2**f * n + b) for f, b in basis))
+            for n in range(m, limit + 1)}
+
+
+class TestSearchWork:
+    @pytest.fixture
+    def residual_calls(self, monkeypatch):
+        """Per _residuals call, (len(target), the largest residual's length)."""
+        calls = []
+        original = regularity._residuals
+
+        def counting(target, columns, coeff_range):
+            calls.append([len(target), 0])
+            for coeffs, residual in original(target, columns, coeff_range):
+                calls[-1][1] = max(calls[-1][1], len(residual))
+                yield coeffs, residual
+
+        monkeypatch.setattr(regularity, "_residuals", counting)
+        return calls
+
+    def test_full_cover_everywhere_enumerates_nothing(self, residual_calls):
+        found = search_relation_menus(builtin_sequence("t"), 2, 1, 0, 2, 2, 128)
+        assert found.complete
+        assert all(len(menu.options) == 1 for menu in found.menus.values())
+        assert residual_calls == []
+
+    def test_enumerates_only_multi_option_residues_on_distinct_rows(self, residual_calls):
+        seq = builtin_sequence("tcal")
+        found = search_relation_menus(seq, 2, 1, 0, 2, 2, 128)
+        multi = [r for (_, r), menu in sorted(found.menus.items()) if len(menu.options) > 1]
+        assert multi == [0, 2]
+        assert len(residual_calls) == 2
+        for r, (targets, longest) in zip(multi, residual_calls):
+            rows = len(distinct_rows(seq, 1, 0, 2, r, 128))
+            assert targets == rows < 129
+            assert longest <= rows
 
 
 class TestKernelMatchesFractionReference:
