@@ -24,7 +24,7 @@ from functools import cache, lru_cache
 from math import lcm
 from typing import Callable, Mapping
 
-from .automata import Automaton, base_k_word, build_tm_dfao, dfao_output
+from .automata import Automaton, base_k_word, build_tm_dfao, delta_star
 from .discharge import build_fr_ddfao, build_tm_ddfa, reduce_charge
 from .documents import parse_rational
 from .regularity import Sequence
@@ -188,6 +188,24 @@ def a_recursion(n: int) -> Fraction:
     return a_recursion(half) / 2
 
 
+@lru_cache(maxsize=None)
+def _b_recursion(n: int) -> int:
+    """b(n), the numerator of a(n), by the same halving recursion on ints.
+
+    a(n) = b(n) / 2^max(1, bitlen n) with b(n) odd, so b(0) = b(1) = 1,
+    and for m >= 1, b(2m) = b(m) and b(2m+1) = 2^(bitlen m + 1) - b(m).
+    ``a_recursion(n).numerator`` is the oracle.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n <= 1:
+        return 1
+    half, bit = divmod(n, 2)
+    if bit:
+        return (1 << (half.bit_length() + 1)) - _b_recursion(half)
+    return _b_recursion(half)
+
+
 def modified_b_sequence(n: int) -> int:
     """(b(n) + 1) / 2 for n >= 1, where b(n) is the numerator of a(n).
 
@@ -195,7 +213,7 @@ def modified_b_sequence(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    return (a_recursion(n).numerator + 1) // 2
+    return (_b_recursion(n) + 1) // 2
 
 
 def a131271_triangle(depth: int) -> tuple[tuple[int, ...], ...]:
@@ -254,9 +272,22 @@ def e_sequence(n: int) -> int:
     """Integer scaling of d(n): its reduced numerator.
 
     The word shape of n fixes a power-of-two factor (2, 4, 2^(l+1) or
-    2^(l+2)) that clears the denominator of d(n) exactly.
+    2^(l+2)) that clears the denominator of d(n) exactly. That leaves 1 for
+    n < 2 and for 1 0^l, 3 for words starting 11, and 2^(l+2) - 1 for
+    1 0^l 1 followed by anything. The shape is read off bit lengths;
+    ``d_shape_closed_form(n).numerator`` is the oracle.
     """
-    return d_shape_closed_form(n).numerator
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n < 2:
+        return 1
+    top = n.bit_length() - 1
+    rest = n - (1 << top)  # the word of n after its leading 1, top digits long
+    if rest >> (top - 1):
+        return 3
+    if not rest:
+        return 1
+    return (1 << (top - rest.bit_length() + 2)) - 1
 
 
 def _is_prime(n: int) -> bool:
@@ -295,12 +326,28 @@ def t_sequence(n: int) -> int:
 
 
 _TM_DFAO: Automaton = build_tm_dfao()
+_TM_OUTPUTS: dict[str, int] = {q: int(v) for q, v in _TM_DFAO.output.items()}
+# n -> the parity automaton's state after the binary word of n
+_tm_states: dict[int, str] = {}
 
 
-@lru_cache(maxsize=None)
 def thue_morse(n: int) -> int:
-    """Digit-parity of n base 2, computed by running the 2-state automaton."""
-    return int(dfao_output(_TM_DFAO, base_k_word(n, 2)))
+    """Digit-parity of n base 2, computed by running the 2-state automaton.
+
+    The word of n >= 2 is the word of n // 2 plus one digit, so a first read
+    takes one transition from the parent's memoised state. An index whose
+    parent is not memoised runs its whole word instead, so nothing recurses
+    and no ancestor is stored.
+    """
+    state = _tm_states.get(n)
+    if state is None:
+        parent = _tm_states.get(n // 2) if n >= 2 else None
+        if parent is None:
+            state = delta_star(_TM_DFAO, _TM_DFAO.start, base_k_word(n, 2))
+        else:
+            state = _TM_DFAO.transition[(parent, "1" if n & 1 else "0")]
+        _tm_states[n] = state
+    return _TM_OUTPUTS[state]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +356,7 @@ def thue_morse(n: int) -> int:
 
 _BUILTIN_TERMS: dict[str, Sequence] = {
     "a": a_recursion,
-    "b": lambda n: a_recursion(n).numerator,
+    "b": _b_recursion,
     "d": d_shape_closed_form,
     "e": e_sequence,
     "t": thue_morse,

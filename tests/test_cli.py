@@ -35,6 +35,7 @@ GOLDEN_COMMANDS = {
     "tcal.search.E2L3C1.txt": [
         "search", "--seq", "tcal", "--E", "2", "--level", "3", "--coeff-bound", "1",
         "--max", "200"],
+    **{f"{seq}.kernel.d8.txt": ["kernel", "--seq", seq, "--depth", "8"] for seq in "bet"},
 }
 
 

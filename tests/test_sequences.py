@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddfa.automata import base_k_word, build_tm_dfa
+import ddfa.sequences
+from ddfa.automata import base_k_word, build_tm_dfa, build_tm_dfao, dfao_output
 from ddfa.discharge import (
     DischargeRuleSet,
     build_fr_ddfao,
@@ -245,6 +246,76 @@ class TestThueMorse:
             assert thue_morse(n) == bin(n).count("1") % 2
 
 
+class TestBuiltinsOnInts:
+    """t, e and b on plain ints against the word run and Fraction forms they replace."""
+
+    HUGE = 2**1200 + 1  # a parent chain far deeper than the recursion limit
+
+    @staticmethod
+    def _empty_t_memo(monkeypatch):
+        monkeypatch.setattr(ddfa.sequences, "_tm_states", {})
+
+    def test_e_equals_closed_form_numerator_below_2_16(self):
+        for n in range(2**16):
+            assert e_sequence(n) == d_shape_closed_form(n).numerator
+
+    def test_b_equals_a_recursion_numerator_below_2_16(self):
+        b = builtin_sequence("b")
+        for n in range(2**16):
+            assert b(n) == a_recursion(n).numerator
+        for n in range(1, 2**16):
+            assert modified_b_sequence(n) == (a_recursion(n).numerator + 1) // 2
+
+    def test_t_equals_word_run_in_shuffled_order(self, monkeypatch):
+        self._empty_t_memo(monkeypatch)
+        dfao = build_tm_dfao()
+        rng = random.Random(0x7A1E)
+        indices = list(range(2**16)) + [rng.randrange(2**40, 2**48) for _ in range(64)]
+        rng.shuffle(indices)
+        for n in indices:
+            assert thue_morse(n) == int(dfao_output(dfao, base_k_word(n, 2)))
+
+    def test_t_cold_parents_past_2_40(self, monkeypatch):
+        self._empty_t_memo(monkeypatch)
+        for n in (2**40, 2**40 + 1, 3 * 2**41 + 7, 2**47 - 1):
+            assert thue_morse(n) == bin(n).count("1") % 2
+            assert n // 2 not in ddfa.sequences._tm_states
+
+    def test_huge_cold_indices(self, monkeypatch):
+        self._empty_t_memo(monkeypatch)
+        e_sequence.cache_clear()
+        assert thue_morse(self.HUGE) == 0
+        assert e_sequence(self.HUGE) == d_shape_closed_form(self.HUGE).numerator
+
+    def test_in_order_t_runs_two_words(self, monkeypatch):
+        # every n >= 2 read after n // 2 is one transition from its state
+        self._empty_t_memo(monkeypatch)
+        words = []
+        original = ddfa.sequences.base_k_word
+
+        def counting(n, k):
+            words.append(n)
+            return original(n, k)
+
+        monkeypatch.setattr(ddfa.sequences, "base_k_word", counting)
+        assert [thue_morse(n) for n in range(2**12)] == [
+            bin(n).count("1") % 2 for n in range(2**12)]
+        assert words == [0, 1]
+
+    def test_e_and_b_never_call_their_oracles(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"oracle called at {n}")
+
+        expected_e = [d_shape_closed_form(n).numerator for n in range(2**12)]
+        expected_b = [a_recursion(n).numerator for n in range(2**12)]
+        e_sequence.cache_clear()
+        ddfa.sequences._b_recursion.cache_clear()
+        monkeypatch.setattr(ddfa.sequences, "d_shape_closed_form", refuse)
+        monkeypatch.setattr(ddfa.sequences, "a_recursion", refuse)
+        assert [e_sequence(n) for n in range(2**12)] == expected_e
+        assert [builtin_sequence("b")(n) for n in range(2**12)] == expected_b
+
+
 class TestChargeSequences:
     def test_tm_prefix(self):
         seq = final_charge_sequence(build_tm_ddfa())
@@ -284,8 +355,6 @@ class TestChargeSequences:
 
     @staticmethod
     def _count_steps(monkeypatch):
-        import ddfa.sequences
-
         calls = []
         original = ddfa.sequences._scaled_step
 
