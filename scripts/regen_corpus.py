@@ -140,7 +140,8 @@ def main() -> int:
         "tcal.search.E2L3C1.txt": (
             "search", "--seq", "tcal", "--E", "2", "--level", "3",
             "--coeff-bound", "1", "--max", "200"),
-        **{f"{seq}.kernel.d8.txt": ("kernel", "--seq", seq, "--depth", "8") for seq in "bet"},
+        **{f"{seq}.kernel.d8.txt": ("kernel", "--seq", seq, "--depth", "8")
+           for seq in ("a", "b", "e", "t", "tcal", "a131271")},
     }
     for name, argv in goldens.items():
         (GOLDEN / name).write_text(capture_cli(*argv), encoding="utf-8")

@@ -109,9 +109,18 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DocumentError(f"repeated key {key!r} in an object")
+        obj[key] = value
+    return obj
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -24,10 +24,50 @@ from functools import cache, lru_cache
 from math import lcm
 from typing import Callable, Mapping
 
-from .automata import Automaton, base_k_word, build_tm_dfao, delta_star
+from .automata import Automaton, build_tm_dfao
 from .discharge import build_fr_ddfao, build_tm_ddfa, reduce_charge
 from .documents import parse_rational
 from .regularity import Sequence
+
+
+# ---------------------------------------------------------------------------
+# one walk over base-k words
+
+
+class _DigitMemo(dict):
+    """n -> the value of a run over the base-k word of n, for every n read.
+
+    The word of n >= k is the word of its parent n // k plus the digit
+    n % k; the word of n < k extends the empty word, whose value is
+    ``root``. ``step(parent value, n)`` is the value of n. A miss walks up
+    to the nearest stored ancestor, or to the empty word, and steps back
+    down, storing every index it visits, so nothing recurses and a cleared
+    memo still starts from ``root``.
+    """
+
+    def __init__(self, k: int, root, step: Callable[[object, int], object]):
+        super().__init__()
+        self.k, self.root, self.step = k, root, step
+
+    def __missing__(self, n: int):
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
+        k = self.k
+        if n >= k and (parent := n // k) in self:
+            value = self[n] = self.step(self[parent], n)
+            return value
+        path = []
+        while n not in self:
+            path.append(n)
+            if n < k:
+                value = self.root
+                break
+            n //= k
+        else:
+            value = self[n]
+        for m in reversed(path):
+            value = self[m] = self.step(value, m)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -47,33 +87,13 @@ def _digit_base(auto: Automaton) -> int:
     return base
 
 
-def _scaled_step(
-    snapshot: tuple[int, ...], digit: int, moves: tuple, scale: int
-) -> tuple[int, ...]:
-    """``charge_step`` on a snapshot (state index, word length, charges...).
-
-    The charges are the run's charges times scale**length, and each weight
-    in ``moves[state][digit] = (next state, ((target, scale * weight), ...))``
-    is scaled once, so the charges stay integers.
-    """
-    state = snapshot[0]
-    moving = snapshot[2 + state]
-    target_state, edges = moves[state][digit]
-    charges = [c * scale for c in snapshot[2:]]
-    charges[state] = 0
-    for target, weight in edges:
-        charges[target] += moving * weight
-    return (target_state, snapshot[1] + 1, *charges)
-
-
 def _charge_runs(auto: Automaton) -> Callable[[int], tuple[str, Fraction]]:
     """(final state, final charge) of the run on the base-k word of each n.
 
     Equal to ``delta_c(auto, auto.start, base_k_word(n, k))``, computed on
-    integers: with D the lcm of the weight denominators, a snapshot after a
-    word of length L holds D**L times the charges. The word of n >= k is the
-    word of n // k plus one digit, so each index is stored as one step from
-    its parent's snapshot; the words of n < k extend the empty word.
+    integers: a snapshot (state index, word length L, charges...) holds
+    D**L times the charges, with D the lcm of the weight denominators. Each
+    index is stored as one ``charge_step`` from its parent's snapshot.
     Snapshots are int tuples, so the store holds no Fraction and no cycle,
     and a racing write stores an equal tuple.
     """
@@ -96,22 +116,23 @@ def _charge_runs(auto: Automaton) -> Callable[[int], tuple[str, Fraction]]:
         )
         for q in states
     )
-    # key -1 holds the empty word's snapshot, the parent of every n < k
-    store: dict[int, tuple[int, ...]] = {
-        -1: (index[auto.start], 0, *(int(q == auto.start) for q in states))
-    }
+
+    def step(snapshot: tuple[int, ...], n: int) -> tuple[int, ...]:
+        # moves[state][digit] = (next state, ((target, D * weight), ...))
+        state = snapshot[0]
+        moving = snapshot[2 + state]
+        target_state, edges = moves[state][n % base]
+        charges = [c * scale for c in snapshot[2:]]
+        charges[state] = 0
+        for target, weight in edges:
+            charges[target] += moving * weight
+        return (target_state, snapshot[1] + 1, *charges)
+
+    root = (index[auto.start], 0, *(int(q == auto.start) for q in states))
+    store = _DigitMemo(base, root, step)
 
     def run(n: int) -> tuple[str, Fraction]:
-        if n < 0:
-            raise ValueError(f"n must be nonnegative, got {n}")
-        path = []
-        m = n
-        while m not in store:
-            path.append(m)
-            m = m // base if m >= base else -1
-        snapshot = store[m]
-        for m in reversed(path):
-            snapshot = store[m] = _scaled_step(snapshot, m % base, moves, scale)
+        snapshot = store[n]
         state = snapshot[0]
         return states[state], Fraction(snapshot[2 + state], scale ** snapshot[1])
 
@@ -188,22 +209,10 @@ def a_recursion(n: int) -> Fraction:
     return a_recursion(half) / 2
 
 
-@lru_cache(maxsize=None)
-def _b_recursion(n: int) -> int:
-    """b(n), the numerator of a(n), by the same halving recursion on ints.
-
-    a(n) = b(n) / 2^max(1, bitlen n) with b(n) odd, so b(0) = b(1) = 1,
-    and for m >= 1, b(2m) = b(m) and b(2m+1) = 2^(bitlen m + 1) - b(m).
-    ``a_recursion(n).numerator`` is the oracle.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n <= 1:
-        return 1
-    half, bit = divmod(n, 2)
-    if bit:
-        return (1 << (half.bit_length() + 1)) - _b_recursion(half)
-    return _b_recursion(half)
+# b(n), the numerator of a(n), on ints: a(n) = b(n) / 2^max(1, bitlen n) with
+# b(n) odd, so b(2m) = b(m) and b(2m+1) = 2^bitlen(2m+1) - b(m); the empty
+# word's 1 gives b(0) = b(1) = 1. ``a_recursion(n).numerator`` is the oracle.
+_b_recursion = _DigitMemo(2, 1, lambda b, n: (1 << n.bit_length()) - b if n & 1 else b)
 
 
 def modified_b_sequence(n: int) -> int:
@@ -213,7 +222,7 @@ def modified_b_sequence(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    return (_b_recursion(n) + 1) // 2
+    return (_b_recursion[n] + 1) // 2
 
 
 def a131271_triangle(depth: int) -> tuple[tuple[int, ...], ...]:
@@ -230,22 +239,15 @@ def a131271_triangle(depth: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _triangle_entry(n: int, j: int) -> int:
-    """T(n, j), 1-indexed, without materializing rows."""
-    if n == 0:
-        return 1
-    if j % 2:
-        return _triangle_entry(n - 1, (j + 1) // 2)
-    return 2**n + 1 - _triangle_entry(n - 1, j // 2)
-
-
 def _a131271_flat(i: int) -> int:
-    """Entry i (0-based) of the row-by-row reading of the triangle."""
+    """Entry i (0-based) of the row-by-row reading of the triangle.
+
+    Reading the rows in order gives (b(i+1) + 1) / 2; ``a131271_triangle``
+    is the oracle.
+    """
     if i < 0:
         raise ValueError(f"index must be nonnegative, got {i}")
-    n = (i + 1).bit_length() - 1
-    return _triangle_entry(n, i + 2 - 2**n)
+    return modified_b_sequence(i + 1)
 
 
 def d_shape_closed_form(n: int) -> Fraction:
@@ -306,48 +308,29 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+# the empty word's 0 gives tcal(0) = 0 and tcal(1) = 1 by the same step
+_tcal = _DigitMemo(2, 0, lambda v, n: 1 - v if n & 1 or _is_prime(n >> 1) else v)
+
+
 def t_sequence(n: int) -> int:
     """0/1 recursion whose even step flips exactly when the half-index is prime.
 
     tcal(0) = 0; tcal(2n) = 1 - tcal(n) if n is prime else tcal(n);
     tcal(2n+1) = 1 - tcal(n).
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 0
-    half, bit = divmod(n, 2)
-    if bit:
-        return 1 - t_sequence(half)
-    if _is_prime(half):
-        return 1 - t_sequence(half)
-    return t_sequence(half)
+    return _tcal[n]
 
 
 _TM_DFAO: Automaton = build_tm_dfao()
 _TM_OUTPUTS: dict[str, int] = {q: int(v) for q, v in _TM_DFAO.output.items()}
 # n -> the parity automaton's state after the binary word of n
-_tm_states: dict[int, str] = {}
+_tm_states = _DigitMemo(
+    2, _TM_DFAO.start, lambda q, n: _TM_DFAO.transition[(q, "1" if n & 1 else "0")])
 
 
 def thue_morse(n: int) -> int:
-    """Digit-parity of n base 2, computed by running the 2-state automaton.
-
-    The word of n >= 2 is the word of n // 2 plus one digit, so a first read
-    takes one transition from the parent's memoised state. An index whose
-    parent is not memoised runs its whole word instead, so nothing recurses
-    and no ancestor is stored.
-    """
-    state = _tm_states.get(n)
-    if state is None:
-        parent = _tm_states.get(n // 2) if n >= 2 else None
-        if parent is None:
-            state = delta_star(_TM_DFAO, _TM_DFAO.start, base_k_word(n, 2))
-        else:
-            state = _TM_DFAO.transition[(parent, "1" if n & 1 else "0")]
-        _tm_states[n] = state
-    return _TM_OUTPUTS[state]
+    """Digit-parity of n base 2, computed by running the 2-state automaton."""
+    return _TM_OUTPUTS[_tm_states[n]]
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +339,11 @@ def thue_morse(n: int) -> int:
 
 _BUILTIN_TERMS: dict[str, Sequence] = {
     "a": a_recursion,
-    "b": _b_recursion,
+    "b": _b_recursion.__getitem__,
     "d": d_shape_closed_form,
     "e": e_sequence,
     "t": thue_morse,
-    "tcal": t_sequence,
+    "tcal": _tcal.__getitem__,
     "a131271": _a131271_flat,
 }
 BUILTIN_SEQUENCE_NAMES = tuple(_BUILTIN_TERMS)

@@ -35,7 +35,8 @@ GOLDEN_COMMANDS = {
     "tcal.search.E2L3C1.txt": [
         "search", "--seq", "tcal", "--E", "2", "--level", "3", "--coeff-bound", "1",
         "--max", "200"],
-    **{f"{seq}.kernel.d8.txt": ["kernel", "--seq", seq, "--depth", "8"] for seq in "bet"},
+    **{f"{seq}.kernel.d8.txt": ["kernel", "--seq", seq, "--depth", "8"]
+       for seq in ("a", "b", "e", "t", "tcal", "a131271")},
 }
 
 
@@ -202,6 +203,23 @@ class TestValidate:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
             assert f"{block}[0].{field}: expected a string" in err
+
+    @pytest.mark.parametrize("doc,key,old,new,argvs", [
+        ("tm_ddfa.json", "start", '"start": "q0",', '"start": "q0", "start": "q1",',
+         (["validate", "DOC"], ["run", "DOC", "1"])),
+        ("tm_ddfa.json", "to", '"to": "q0"', '"to": "q0", "to": "q1"',
+         (["validate", "DOC"], ["run", "DOC", "1"])),
+        ("tcal_quasi_spec.json", "E", '"E": 0,', '"E": 0, "E": 1,',
+         (["verify", "--seq", "tcal", "--spec", "DOC"],)),
+    ], ids=["start", "transition-to", "spec-E"])
+    def test_repeated_key_exit_two(self, capsys, tmp_path, doc, key, old, new, argvs):
+        # json.loads alone keeps the last value and the document would pass
+        bad = tmp_path / "repeated.json"
+        bad.write_text(corpus_path(doc).read_text().replace(old, new, 1))
+        for argv in argvs:
+            code, _, err = run_cli(capsys, *(str(bad) if a == "DOC" else a for a in argv))
+            assert code == 2, argv
+            assert f"repeated key '{key}'" in err
 
     def test_notcurrent_naming_read_symbol_exit_two(self, capsys, tmp_path):
         obj = json.loads(corpus_path("tm_ddfa.json").read_text())

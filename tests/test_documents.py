@@ -85,6 +85,16 @@ class TestParseDocument:
         with pytest.raises(DocumentError, match="line 1"):
             parse_document("{nope")
 
+    @pytest.mark.parametrize("old,new", [
+        ('"start": "q0",', '"start": "q0", "start": "q1",'),
+        ('"to": "q0"', '"to": "q0", "to": "q1"'),
+    ], ids=["start", "transition-to"])
+    def test_repeated_key_rejected(self, old, new):
+        text = corpus_text("tm_ddfa.json").replace(old, new, 1)
+        key = old.split('"')[1]
+        with pytest.raises(DocumentError, match=f"repeated key '{key}'"):
+            parse_document(text)
+
     def test_duplicate_transition_rejected(self):
         obj = json.loads(corpus_text("tm_ddfa.json"))
         obj["transitions"].append(dict(obj["transitions"][0]))
@@ -170,6 +180,11 @@ class TestSpecDocuments:
     def test_wrong_kind_rejected(self):
         with pytest.raises(DocumentError, match="kind"):
             parse_spec_document(corpus_text("tm_ddfa.json"))
+
+    def test_repeated_key_rejected(self):
+        text = corpus_text("tcal_quasi_spec.json").replace('"E": 0,', '"E": 0, "E": 1,', 1)
+        with pytest.raises(DocumentError, match="repeated key 'E'"):
+            parse_spec_document(text)
 
     @pytest.mark.parametrize("field", ["e", "r"])
     def test_boolean_level_rejected(self, field):

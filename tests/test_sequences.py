@@ -2,6 +2,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +54,43 @@ D_PREFIX = [F(p, q) for p, q in [
 E_PREFIX = [1, 1, 1, 3, 1, 7, 3, 3, 1, 15, 7, 7, 3, 3, 3, 3, 1, 31, 15]
 TCAL_PREFIX = [0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0]
 T_PREFIX = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1]
+# the module-level digit-walk memos behind b, tcal and t
+BUILTIN_MEMOS = (ddfa.sequences._b_recursion, ddfa.sequences._tcal, ddfa.sequences._tm_states)
+
+
+@pytest.fixture
+def memo_steps(monkeypatch):
+    """Indices stepped by the builtin memos and by every memo built from now on."""
+    stepped = []
+
+    def counted(step):
+        def counting(value, n):
+            stepped.append(n)
+            return step(value, n)
+        return counting
+
+    for memo in BUILTIN_MEMOS:
+        monkeypatch.setattr(memo, "step", counted(memo.step))
+    build = ddfa.sequences._DigitMemo.__init__
+    monkeypatch.setattr(ddfa.sequences._DigitMemo, "__init__",
+                        lambda memo, k, root, step: build(memo, k, root, counted(step)))
+    return stepped
+
+
+def clear_builtin_memos():
+    for memo in BUILTIN_MEMOS:
+        memo.clear()
+
+
+def tcal_reference(n: int) -> int:
+    """tcal by its definition, recursing on n // 2."""
+    if n == 0:
+        return 0
+    half = n // 2
+    half_is_prime = half > 1 and all(half % d for d in range(2, isqrt(half) + 1))
+    if n % 2 or half_is_prime:
+        return 1 - tcal_reference(half)
+    return tcal_reference(half)
 
 
 class TestARecursion:
@@ -251,10 +289,6 @@ class TestBuiltinsOnInts:
 
     HUGE = 2**1200 + 1  # a parent chain far deeper than the recursion limit
 
-    @staticmethod
-    def _empty_t_memo(monkeypatch):
-        monkeypatch.setattr(ddfa.sequences, "_tm_states", {})
-
     def test_e_equals_closed_form_numerator_below_2_16(self):
         for n in range(2**16):
             assert e_sequence(n) == d_shape_closed_form(n).numerator
@@ -266,8 +300,8 @@ class TestBuiltinsOnInts:
         for n in range(1, 2**16):
             assert modified_b_sequence(n) == (a_recursion(n).numerator + 1) // 2
 
-    def test_t_equals_word_run_in_shuffled_order(self, monkeypatch):
-        self._empty_t_memo(monkeypatch)
+    def test_t_equals_word_run_in_shuffled_order(self):
+        clear_builtin_memos()
         dfao = build_tm_dfao()
         rng = random.Random(0x7A1E)
         indices = list(range(2**16)) + [rng.randrange(2**40, 2**48) for _ in range(64)]
@@ -275,32 +309,33 @@ class TestBuiltinsOnInts:
         for n in indices:
             assert thue_morse(n) == int(dfao_output(dfao, base_k_word(n, 2)))
 
-    def test_t_cold_parents_past_2_40(self, monkeypatch):
-        self._empty_t_memo(monkeypatch)
+    def test_t_cold_parents_past_2_40(self):
+        clear_builtin_memos()
         for n in (2**40, 2**40 + 1, 3 * 2**41 + 7, 2**47 - 1):
             assert thue_morse(n) == bin(n).count("1") % 2
-            assert n // 2 not in ddfa.sequences._tm_states
+            assert n // 2 in ddfa.sequences._tm_states  # a cold read stores its ancestors
 
-    def test_huge_cold_indices(self, monkeypatch):
-        self._empty_t_memo(monkeypatch)
+    def test_huge_cold_indices(self):
+        clear_builtin_memos()
         e_sequence.cache_clear()
+        assert builtin_sequence("b")(self.HUGE) == 2**1201 - 1
         assert thue_morse(self.HUGE) == 0
+        # tcal(2^j) = 0 for j >= 2, since 2 is the only prime half-index on the way
+        assert t_sequence(self.HUGE) == builtin_sequence("tcal")(self.HUGE) == 1
+        assert builtin_sequence("a131271")(self.HUGE) == 2**1199  # T(1200, 3)
         assert e_sequence(self.HUGE) == d_shape_closed_form(self.HUGE).numerator
+        word = base_k_word(self.HUGE, 2)
+        for build in (build_tm_ddfa, build_fr_ddfao):
+            auto = build()
+            expected = delta_c(auto, auto.start, word).final_charge
+            assert final_charge_sequence(auto)(self.HUGE) == expected
 
-    def test_in_order_t_runs_two_words(self, monkeypatch):
-        # every n >= 2 read after n // 2 is one transition from its state
-        self._empty_t_memo(monkeypatch)
-        words = []
-        original = ddfa.sequences.base_k_word
-
-        def counting(n, k):
-            words.append(n)
-            return original(n, k)
-
-        monkeypatch.setattr(ddfa.sequences, "base_k_word", counting)
+    def test_in_order_t_steps_once_per_index(self, memo_steps):
+        # every n read after n // 2 is one transition from its stored state
+        clear_builtin_memos()
         assert [thue_morse(n) for n in range(2**12)] == [
             bin(n).count("1") % 2 for n in range(2**12)]
-        assert words == [0, 1]
+        assert memo_steps == list(range(2**12))
 
     def test_e_and_b_never_call_their_oracles(self, monkeypatch):
         def refuse(n):
@@ -309,11 +344,37 @@ class TestBuiltinsOnInts:
         expected_e = [d_shape_closed_form(n).numerator for n in range(2**12)]
         expected_b = [a_recursion(n).numerator for n in range(2**12)]
         e_sequence.cache_clear()
-        ddfa.sequences._b_recursion.cache_clear()
+        ddfa.sequences._b_recursion.clear()
         monkeypatch.setattr(ddfa.sequences, "d_shape_closed_form", refuse)
         monkeypatch.setattr(ddfa.sequences, "a_recursion", refuse)
         assert [e_sequence(n) for n in range(2**12)] == expected_e
         assert [builtin_sequence("b")(n) for n in range(2**12)] == expected_b
+
+
+class TestDigitMemo:
+    """One walk for b, tcal, t and the charge runs, against independent oracles."""
+
+    @staticmethod
+    def _read_and_oracle(name):
+        if name == "b":
+            return builtin_sequence("b"), lambda n: a_recursion(n).numerator
+        if name == "tcal":
+            return builtin_sequence("tcal"), tcal_reference
+        if name == "t":
+            dfao = build_tm_dfao()
+            return thue_morse, lambda n: int(dfao_output(dfao, base_k_word(n, 2)))
+        auto = {"tm_ddfa": build_tm_ddfa, "fr_ddfao": build_fr_ddfao}[name]()
+        return (final_charge_sequence(auto),
+                lambda n: delta_c(auto, auto.start, base_k_word(n, 2)).final_charge)
+
+    @pytest.mark.parametrize("name", ["b", "tcal", "t", "tm_ddfa", "fr_ddfao"])
+    def test_one_step_per_index_in_shuffled_order(self, name, memo_steps):
+        clear_builtin_memos()
+        read, oracle = self._read_and_oracle(name)
+        indices = list(range(2**12))
+        random.Random(0xD161).shuffle(indices)
+        assert [read(n) for n in indices] == [oracle(n) for n in indices]
+        assert len(memo_steps) == 2**12
 
 
 class TestChargeSequences:
@@ -353,33 +414,19 @@ class TestChargeSequences:
             with pytest.raises(ValueError, match=re.escape("alphabet ('0',) has 1 symbol(s)")):
                 make(one_digit)
 
-    @staticmethod
-    def _count_steps(monkeypatch):
-        calls = []
-        original = ddfa.sequences._scaled_step
-
-        def counting(snapshot, digit, moves, scale):
-            calls.append(digit)
-            return original(snapshot, digit, moves, scale)
-
-        monkeypatch.setattr(ddfa.sequences, "_scaled_step", counting)
-        return calls
-
-    def test_final_charge_runs_once_per_index(self, monkeypatch):
-        calls = self._count_steps(monkeypatch)
+    def test_final_charge_runs_once_per_index(self, memo_steps):
         seq = final_charge_sequence(build_tm_ddfa())
         assert [seq(n) for n in range(15)] == A_PREFIX
         assert [seq(n) for n in range(15)] == A_PREFIX
         assert seq(7) == A_PREFIX[7]
-        assert len(calls) == 15
+        assert len(memo_steps) == 15
 
-    def test_reduced_value_runs_once_per_index(self, monkeypatch):
-        calls = self._count_steps(monkeypatch)
+    def test_reduced_value_runs_once_per_index(self, memo_steps):
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
         seq = reduced_value_sequence(build_fr_ddfao(), valuation)
         assert [seq(n) for n in range(17)] == D_PREFIX
         assert [seq(n) for n in range(17)] == D_PREFIX
-        assert len(calls) == 17
+        assert len(memo_steps) == 17
 
     def test_terms_equal_delta_c_in_any_order(self):
         # the integer engine against the definition, on random automata and
@@ -425,13 +472,15 @@ class TestChargeSequences:
         fresh = numerator_sequence(final_charge_sequence(build()))
         assert [shared(n) for n in range(2**12)] == [fresh(n) for n in range(2**12)]
 
-    def test_scaled_charge_terms_run_once_per_process(self, monkeypatch):
+    def test_scaled_charge_terms_run_once_per_process(self, memo_steps):
         scaled_charge_sequence.cache_clear()
-        calls = self._count_steps(monkeypatch)
-        for _ in range(2):
-            seq = scaled_charge_sequence("tm_ddfa")
-            assert [seq(n) for n in range(25)] == B_PREFIX
-        assert len(calls) == 25
+        try:
+            for _ in range(2):
+                seq = scaled_charge_sequence("tm_ddfa")
+                assert [seq(n) for n in range(25)] == B_PREFIX
+            assert len(memo_steps) == 25
+        finally:
+            scaled_charge_sequence.cache_clear()  # drop the memo with the counting step
 
     def test_scaled_charge_sequence_unknown_name(self):
         with pytest.raises(ValueError, match="unknown scaled-charge automaton 'tm_dfa'"):
