@@ -65,6 +65,7 @@ from .sequences import (
     a_recursion,
     b_file_text,
     builtin_sequence,
+    charge_b_file_text,
     d_shape_closed_form,
     e_sequence,
     final_charge_sequence,

@@ -33,11 +33,8 @@ from .sequences import (
     BUILTIN_SEQUENCE_NAMES,
     SCALED_CHARGE_NAMES,
     builtin_sequence,
-    b_file_text,
-    final_charge_sequence,
-    numerator_sequence,
+    charge_b_file_text,
     read_b_file,
-    reduced_value_sequence,
     scaled_charge_sequence,
 )
 
@@ -119,20 +116,9 @@ def cmd_sequence(args) -> int:
         raise DocumentError(f"--count {args.count} is over the limit of {WORK_LIMIT} terms")
     if args.offset < 0:
         raise DocumentError(f"--offset must be >= 0, got {args.offset}")
-    if args.form == "charge":
-        seq = final_charge_sequence(auto)
-    elif args.form == "reduced":
-        if doc.valuation is None:
-            raise DocumentError("--form reduced needs a valuation in the document")
-        seq = reduced_value_sequence(auto, doc.valuation)
-    else:  # numerator of the reduced values when a valuation is present
-        inner = (
-            reduced_value_sequence(auto, doc.valuation)
-            if doc.valuation is not None
-            else final_charge_sequence(auto)
-        )
-        seq = numerator_sequence(inner)
-    text = b_file_text(seq, args.count, args.offset)
+    if args.form == "reduced" and doc.valuation is None:
+        raise DocumentError("--form reduced needs a valuation in the document")
+    text = charge_b_file_text(auto, args.form, args.count, args.offset, doc.valuation)
     if args.bfile:
         _write(args.bfile, text)
     sys.stdout.write(text)

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import lcm
-from typing import Callable, Mapping
+from itertools import chain, islice, repeat
+from math import gcd, lcm
+from typing import Callable, Iterator, Mapping
 
 from .automata import Automaton, build_tm_dfao
-from .discharge import build_fr_ddfao, build_tm_ddfa, reduce_charge
+from .discharge import build_fr_ddfao, build_tm_ddfa
 from .documents import parse_rational
 from .regularity import Sequence
 
@@ -69,6 +70,35 @@ class _DigitMemo(dict):
             value = self[m] = self.step(value, m)
         return value
 
+    def span(self, lo: int, hi: int) -> Iterator:
+        """The values of lo <= n < hi in order, a level at a time, storing nothing.
+
+        The indices >= k of [lo, hi) have their parents in
+        [max(lo, k) // k, (hi - 1) // k + 1), and so on up to a range of
+        one-digit words, whose parent is the empty word. Each level is one
+        ``step`` per index from its parent's entry in the level above, which
+        is the only level kept; the last level is stepped as it is read.
+        """
+        if lo < 0:
+            raise ValueError(f"n must be nonnegative, got {lo}")
+        k, root, step = self.k, self.root, self.step
+
+        def level(parents: list, first: int, lo: int, hi: int) -> Iterator:
+            # parents holds the values of first, first + 1, ...; n >= k reads n // k
+            start = max(lo, k)
+            each = chain.from_iterable(map(repeat, parents, repeat(k)))
+            return chain(map(step, repeat(root), range(lo, min(hi, k))),
+                         map(step, islice(each, start - first * k, None), range(start, hi)))
+
+        ranges = [(lo, hi)]
+        while hi > k:
+            lo, hi = max(lo, k) // k, (hi - 1) // k + 1
+            ranges.append((lo, hi))
+        values, first = [], 0
+        for lo, hi in reversed(ranges[1:]):
+            values, first = list(level(values, first, lo, hi)), lo
+        return level(values, first, *ranges[0])
+
 
 # ---------------------------------------------------------------------------
 # charge sequences from automata
@@ -87,15 +117,22 @@ def _digit_base(auto: Automaton) -> int:
     return base
 
 
-def _charge_runs(auto: Automaton) -> Callable[[int], tuple[str, Fraction]]:
-    """(final state, final charge) of the run on the base-k word of each n.
+def _charge_runs(
+    auto: Automaton, valuation: Mapping[str, Fraction] | None = None
+) -> tuple[_DigitMemo, Callable[[tuple[int, ...]], tuple[int, int]]]:
+    """A snapshot memo of the runs on the base-k words, and their value in ints.
 
-    Equal to ``delta_c(auto, auto.start, base_k_word(n, k))``, computed on
-    integers: a snapshot (state index, word length L, charges...) holds
-    D**L times the charges, with D the lcm of the weight denominators. Each
-    index is stored as one ``charge_step`` from its parent's snapshot.
-    Snapshots are int tuples, so the store holds no Fraction and no cycle,
-    and a racing write stores an equal tuple.
+    A snapshot (state index, word length L, charges...) of the run on the
+    word of n equals ``delta_c(auto, auto.start, base_k_word(n, k))`` with
+    the charges scaled by D**L, D the lcm of the weight denominators. Each
+    index is one ``charge_step`` from its parent's snapshot. Snapshots are
+    int tuples, so the store holds no Fraction and no cycle, and a racing
+    write stores an equal tuple.
+
+    ``value(snapshot)`` is (numerator, denominator) in lowest terms, one
+    gcd: the final charge, or with a valuation the reduced value
+    ``reduce_charge(valuation, state, charge)``, which is 0 for an unvalued
+    final state with zero charge and a ``ValueError`` for one with any other.
     """
     base = _digit_base(auto)
     states, alphabet, transition = auto.states, auto.alphabet, auto.transition
@@ -128,42 +165,77 @@ def _charge_runs(auto: Automaton) -> Callable[[int], tuple[str, Fraction]]:
             charges[target] += moving * weight
         return (target_state, snapshot[1] + 1, *charges)
 
-    root = (index[auto.start], 0, *(int(q == auto.start) for q in states))
-    store = _DigitMemo(base, root, step)
+    # (p, q) of each state's value p/q; None where the valuation leaves it out
+    valued = {q: 1 for q in states} if valuation is None else valuation
+    values = tuple((valued[q].numerator, valued[q].denominator) if q in valued else None
+                   for q in states)
 
-    def run(n: int) -> tuple[str, Fraction]:
-        snapshot = store[n]
+    def value(snapshot: tuple[int, ...]) -> tuple[int, int]:
         state = snapshot[0]
-        return states[state], Fraction(snapshot[2 + state], scale ** snapshot[1])
+        charge = snapshot[2 + state]
+        if values[state] is None:
+            if charge:
+                raise ValueError(f"state {states[state]} has no assigned value")
+            return 0, 1
+        p, q = values[state]
+        numerator, denominator = p * charge, q * scale ** snapshot[1]
+        common = gcd(numerator, denominator)
+        return numerator // common, denominator // common
 
-    return run
+    root = (index[auto.start], 0, *(int(q == auto.start) for q in states))
+    return _DigitMemo(base, root, step), value
 
 
 def final_charge_sequence(auto: Automaton) -> Sequence:
     """Final charge of the run on the base-k expansion of each n, k = |alphabet|."""
-    run = _charge_runs(auto)
-    return lambda n: run(n)[1]
+    store, value = _charge_runs(auto)
+    return lambda n: Fraction(*value(store[n]))
 
 
 def reduced_value_sequence(auto: Automaton, valuation: Mapping[str, Fraction]) -> Sequence:
     """Reduced value of the run on the base-k expansion of each n, k = |alphabet|.
 
-    The valuation must cover every final state.
+    A final state the valuation leaves out gives 0 where its charge is 0
+    and a ``ValueError`` where it is not.
     """
-    run = _charge_runs(auto)
-
-    def term(n: int) -> Fraction:
-        result = reduce_charge(valuation, *run(n))
-        if not result.is_numeric:
-            raise ValueError(f"state {result.state} has no assigned value")
-        return result.value
-
-    return term
+    store, value = _charge_runs(auto, valuation)
+    return lambda n: Fraction(*value(store[n]))
 
 
 def numerator_sequence(seq: Sequence) -> Sequence:
     """Numerators of an exact-rational sequence (already in lowest terms)."""
     return lambda n: seq(n).numerator
+
+
+def charge_b_file_text(
+    auto: Automaton,
+    form: str,
+    count: int,
+    offset: int = 0,
+    valuation: Mapping[str, Fraction] | None = None,
+) -> str:
+    """The b-file of terms offset <= n < offset + count of a charge sequence.
+
+    ``form`` is "charge" (final charges), "reduced" (reduced values, which
+    need a valuation) or "numerator" (numerators of the reduced values with
+    a valuation, of the charges without). Equal to ``b_file_text`` over
+    ``final_charge_sequence``, ``reduced_value_sequence`` or their
+    ``numerator_sequence``, but the range is stepped a level at a time
+    (``_DigitMemo.span``) and each term is formatted from its ints.
+    """
+    if form not in ("charge", "reduced", "numerator"):
+        raise ValueError(f"unknown form {form!r}; expected charge, reduced or numerator")
+    if form == "reduced" and valuation is None:
+        raise ValueError("the reduced form needs a valuation")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    store, value = _charge_runs(auto, None if form == "charge" else valuation)
+    terms = zip(range(offset, offset + count), map(value, store.span(offset, offset + count)))
+    if form == "numerator":
+        lines = [f"{n} {p}" for n, (p, _) in terms]
+    else:
+        lines = [f"{n} {p}" if q == 1 else f"{n} {p}/{q}" for n, (p, q) in terms]
+    return "\n".join(lines) + "\n"
 
 
 _SCALED_CHARGE_BUILDERS: dict[str, Callable[[], Automaton]] = {
@@ -186,7 +258,8 @@ def scaled_charge_sequence(name: str) -> Sequence:
             f"unknown scaled-charge automaton {name!r}; expected one of "
             f"{list(SCALED_CHARGE_NAMES)}"
         ) from None
-    return numerator_sequence(final_charge_sequence(build()))
+    store, value = _charge_runs(build())
+    return lambda n: value(store[n])[0]
 
 
 # ---------------------------------------------------------------------------

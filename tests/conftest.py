@@ -44,6 +44,12 @@ def random_ddfa(rng: random.Random, **limits) -> Automaton:
     return replace(dfa, rules=random_rules(rng, dfa))
 
 
+def random_valuation(rng: random.Random, auto: Automaton) -> dict[str, Fraction]:
+    """Values for some of the states (maybe all, maybe none), some of them 0."""
+    return {q: Fraction(rng.randint(-2, 3), rng.randint(1, 3))
+            for q in auto.states if rng.random() < 0.6}
+
+
 def random_word(rng: random.Random, alphabet, max_len: int = 64) -> tuple[str, ...]:
     return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,10 @@ import pytest
 
 import ddfa
 from ddfa.cli import main
-from ddfa.documents import corpus_path
+from ddfa.documents import AutomatonDocument, corpus_path, serialize_document
+from ddfa.sequences import b_file_text, reduced_value_sequence
+
+from conftest import random_ddfa, random_valuation
 
 TM = str(corpus_path("tm_ddfa.json"))
 FR = str(corpus_path("fr_ddfao.json"))
@@ -155,6 +159,29 @@ class TestSequence:
         code, out, err = run_cli(capsys, "sequence", str(one_digit), "--count", "3")
         assert (code, out) == (2, "")
         assert err == "error: alphabet ('0',) has 1 symbol(s); base-k digits need at least two\n"
+
+    def test_listing_equals_term_functions_on_random_automata(self, capsys, tmp_path):
+        # partial valuations: a refused term exits 2 with empty stdout and its text
+        rng = random.Random(0x5E0)
+        exits = set()
+        for i in range(12):
+            auto = random_ddfa(rng, max_symbols=4)
+            base = len(auto.alphabet)
+            if base < 2:
+                continue
+            valuation = random_valuation(rng, auto)
+            doc = tmp_path / f"random{i}.json"
+            doc.write_text(serialize_document(AutomatonDocument(auto, valuation)))
+            seq = reduced_value_sequence(auto, valuation)
+            for offset, count in ((0, base**3), (rng.randrange(base), 2), (2**1200, 3)):
+                try:
+                    expected = (0, b_file_text(seq, count, offset), "")
+                except ValueError as exc:
+                    expected = (2, "", f"error: {exc}\n")
+                exits.add(expected[0])
+                assert run_cli(capsys, "sequence", str(doc), "--count", str(count),
+                               "--offset", str(offset), "--form", "reduced") == expected
+        assert exits == {0, 2}
 
     def test_count_limit_boundary(self, capsys, monkeypatch):
         import ddfa.cli

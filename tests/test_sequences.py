@@ -24,6 +24,7 @@ from ddfa.sequences import (
     a_recursion,
     b_file_text,
     builtin_sequence,
+    charge_b_file_text,
     d_shape_closed_form,
     e_sequence,
     final_charge_sequence,
@@ -36,7 +37,7 @@ from ddfa.sequences import (
     thue_morse,
 )
 
-from conftest import random_ddfa
+from conftest import random_ddfa, random_valuation
 
 F = Fraction
 
@@ -58,10 +59,18 @@ T_PREFIX = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1]
 BUILTIN_MEMOS = (ddfa.sequences._b_recursion, ddfa.sequences._tcal, ddfa.sequences._tm_states)
 
 
+class MemoSteps(list):
+    """Indices stepped, in order; ``memos`` lists every memo built meanwhile."""
+
+    def __init__(self):
+        super().__init__()
+        self.memos = []
+
+
 @pytest.fixture
 def memo_steps(monkeypatch):
     """Indices stepped by the builtin memos and by every memo built from now on."""
-    stepped = []
+    stepped = MemoSteps()
 
     def counted(step):
         def counting(value, n):
@@ -72,8 +81,12 @@ def memo_steps(monkeypatch):
     for memo in BUILTIN_MEMOS:
         monkeypatch.setattr(memo, "step", counted(memo.step))
     build = ddfa.sequences._DigitMemo.__init__
-    monkeypatch.setattr(ddfa.sequences._DigitMemo, "__init__",
-                        lambda memo, k, root, step: build(memo, k, root, counted(step)))
+
+    def build_counted(memo, k, root, step):
+        build(memo, k, root, counted(step))
+        stepped.memos.append(memo)
+
+    monkeypatch.setattr(ddfa.sequences._DigitMemo, "__init__", build_counted)
     return stepped
 
 
@@ -91,6 +104,14 @@ def tcal_reference(n: int) -> int:
     if n % 2 or half_is_prime:
         return 1 - tcal_reference(half)
     return tcal_reference(half)
+
+
+def random_base_k_ddfa(rng: random.Random, base: int):
+    """A random discharging automaton whose alphabet is the base-k digits."""
+    auto = random_ddfa(rng, max_symbols=base)
+    while len(auto.alphabet) != base:
+        auto = random_ddfa(rng, max_symbols=base)
+    return auto
 
 
 class TestARecursion:
@@ -376,6 +397,23 @@ class TestDigitMemo:
         assert [read(n) for n in indices] == [oracle(n) for n in indices]
         assert len(memo_steps) == 2**12
 
+    @pytest.mark.parametrize("name", ["b", "tcal", "t"])
+    def test_span_equals_oracle_and_stores_nothing(self, name):
+        clear_builtin_memos()
+        memo = {"b": ddfa.sequences._b_recursion, "tcal": ddfa.sequences._tcal,
+                "t": ddfa.sequences._tm_states}[name]
+        read, oracle = self._read_and_oracle(name)
+        windows = [range(0, 300), range(1, 2), range(5, 6), range(4096, 4096 + 513)]
+        huge = range(2**1200, 2**1200 + 9)  # past the depth the recursive oracles reach
+        value = ddfa.sequences._TM_OUTPUTS.get if name == "t" else int  # t's memo holds states
+        spans = [list(map(value, memo.span(w.start, w.stop))) for w in [*windows, huge]]
+        assert not memo
+        assert spans == [[oracle(n) for n in w] for w in windows] + [[read(n) for n in huge]]
+
+    def test_span_refuses_negative_start(self):
+        with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+            ddfa.sequences._tcal.span(-1, 3)
+
 
 class TestChargeSequences:
     def test_tm_prefix(self):
@@ -490,6 +528,86 @@ class TestChargeSequences:
         seq = reduced_value_sequence(build_fr_ddfao(), {"q0": F(1)})
         with pytest.raises(ValueError, match="no assigned value"):
             seq(2)
+
+
+class TestChargeListing:
+    """``charge_b_file_text`` against ``b_file_text`` over the term functions."""
+
+    @staticmethod
+    def outcome(make_text):
+        try:
+            return make_text()
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    @staticmethod
+    def term_function(auto, form, valuation):
+        if form == "charge":
+            return final_charge_sequence(auto)
+        inner = (final_charge_sequence(auto) if valuation is None
+                 else reduced_value_sequence(auto, valuation))
+        return inner if form == "reduced" else numerator_sequence(inner)
+
+    @pytest.mark.parametrize("base", [2, 3, 4])
+    def test_equals_b_file_text_on_random_automata(self, base):
+        rng = random.Random(0x11570 + base)
+        for _ in range(15):
+            auto = random_base_k_ddfa(rng, base)
+            valuation = random_valuation(rng, auto) if rng.random() < 0.8 else None
+            windows = [(0, base**3 + 5), (rng.randrange(base), 3),
+                       (rng.randrange(base**9, base**10), 40), (2**1200, 4)]
+            forms = ("charge", "numerator") if valuation is None else (
+                "charge", "reduced", "numerator")
+            for form in forms:
+                for offset, count in windows:
+                    seq = self.term_function(auto, form, valuation)
+                    assert self.outcome(
+                        lambda: charge_b_file_text(auto, form, count, offset, valuation)
+                    ) == self.outcome(lambda: b_file_text(seq, count, offset))
+
+    def test_unvalued_final_state_lists_zero_charge_and_refuses_the_rest(self):
+        rng = random.Random(0x2E60)
+        seen = set()
+        for _ in range(60):
+            base = rng.randint(2, 4)
+            auto = random_base_k_ddfa(rng, base)
+            valuation = random_valuation(rng, auto)
+            for n in range(base**3):
+                state, charge = delta_c(auto, auto.start, base_k_word(n, base))
+                if state in valuation:
+                    case, value = "valued", valuation[state] * charge
+                elif charge == 0:
+                    case, value = "zero", F(0)
+                else:
+                    case, value = "refused", None
+                seen.add(case)
+                for form in ("reduced", "numerator"):
+                    expected = (f"ValueError: state {state} has no assigned value" if value is None
+                                else f"{n} {value if form == 'reduced' else value.numerator}\n")
+                    assert self.outcome(
+                        lambda: charge_b_file_text(auto, form, 1, n, valuation)) == expected
+        assert seen == {"valued", "zero", "refused"}
+
+    @pytest.mark.parametrize("base,offset,count", [
+        (2, 0, 40), (2, 28672, 2048), (3, 2, 50), (4, 70, 7), (2, 2**70 + 5, 9)])
+    def test_steps_each_range_once_and_stores_nothing(self, base, offset, count, memo_steps):
+        auto = build_tm_ddfa() if base == 2 else random_base_k_ddfa(random.Random(base), base)
+        charge_b_file_text(auto, "charge", count, offset)
+        expected, level = [], set(range(offset, offset + count))
+        while level:  # the range, then the parents of its indices >= base, and so on up
+            expected[:0] = sorted(level)
+            level = {n // base for n in level if n >= base}
+        assert memo_steps == expected
+        assert memo_steps.memos and not any(memo_steps.memos)
+
+    def test_refuses_bad_arguments(self):
+        tm = build_tm_ddfa()
+        for args, message in [(("reduced", 3), "the reduced form needs a valuation"),
+                              (("value", 3), "unknown form 'value'"),
+                              (("charge", 0), "count must be >= 1, got 0"),
+                              (("charge", 3, -1), "n must be nonnegative, got -1")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                charge_b_file_text(tm, *args)
 
 
 class TestSequenceWrapper:
