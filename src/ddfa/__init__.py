@@ -66,15 +66,12 @@ from .sequences import (
     b_file_text,
     builtin_sequence,
     charge_b_file_text,
+    charge_sequence,
     d_shape_closed_form,
     e_sequence,
-    final_charge_sequence,
     scaled_charge_sequence,
     modified_b_sequence,
-    numerator_sequence,
     read_b_file,
-    reduced_value_sequence,
-    t_sequence,
     thue_morse,
 )
 

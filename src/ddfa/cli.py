@@ -31,6 +31,7 @@ from .regularity import (
 )
 from .sequences import (
     BUILTIN_SEQUENCE_NAMES,
+    CHARGE_FORMS,
     SCALED_CHARGE_NAMES,
     builtin_sequence,
     charge_b_file_text,
@@ -116,8 +117,6 @@ def cmd_sequence(args) -> int:
         raise DocumentError(f"--count {args.count} is over the limit of {WORK_LIMIT} terms")
     if args.offset < 0:
         raise DocumentError(f"--offset must be >= 0, got {args.offset}")
-    if args.form == "reduced" and doc.valuation is None:
-        raise DocumentError("--form reduced needs a valuation in the document")
     text = charge_b_file_text(auto, args.form, args.count, args.offset, doc.valuation)
     if args.bfile:
         _write(args.bfile, text)
@@ -243,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True, help="number of terms")
     p.add_argument(
         "--form",
-        choices=("charge", "numerator", "reduced"),
+        choices=CHARGE_FORMS,
         default="charge",
         help="charge: final charges; reduced: valuation-weighted; "
         "numerator: numerators of the reduced (or charge) values",

@@ -91,6 +91,13 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
         raise DocumentError(f"{where}: missing field(s) {sorted(missing)}")
 
 
+def _object(value, where: str, fields: set[str]) -> None:
+    """Refuse ``value`` unless it is a dict holding exactly ``fields``."""
+    if not isinstance(value, dict):
+        raise DocumentError(f"{where}: expected an object")
+    _check_keys(value, fields, fields, where)
+
+
 def _name_list(value, where: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise DocumentError(f"{where}: expected a list of strings")
@@ -163,9 +170,7 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
     transition: dict[tuple[str, str], str] = {}
     for i, entry in enumerate(obj["transitions"]):
         where = f"transitions[{i}]"
-        if not isinstance(entry, dict):
-            raise DocumentError(f"{where}: expected an object")
-        _check_keys(entry, {"from", "symbol", "to"}, {"from", "symbol", "to"}, where)
+        _object(entry, where, {"from", "symbol", "to"})
         key = (_name(entry["from"], f"{where}.from"),
                _name(entry["symbol"], f"{where}.symbol"))
         if key in transition:
@@ -180,10 +185,7 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
         seen_states: set[str] = set()
         for i, entry in enumerate(obj["discharge"]):
             where = f"discharge[{i}]"
-            if not isinstance(entry, dict):
-                raise DocumentError(f"{where}: expected an object")
-            _check_keys(entry, {"state", "current", "notCurrent"},
-                        {"state", "current", "notCurrent"}, where)
+            _object(entry, where, {"state", "current", "notCurrent"})
             q = _name(entry["state"], f"{where}.state")
             if q not in states:
                 raise DocumentError(f"{where}: unknown state {q!r}")
@@ -303,9 +305,7 @@ def parse_spec_document(text: str) -> QuasiRegularitySpec:
     menus: dict[tuple[int, int], RelationMenu] = {}
     for i, entry in enumerate(obj["menus"]):
         where = f"menus[{i}]"
-        if not isinstance(entry, dict):
-            raise DocumentError(f"{where}: expected an object")
-        _check_keys(entry, {"e", "r", "options"}, {"e", "r", "options"}, where)
+        _object(entry, where, {"e", "r", "options"})
         e, r = _integer(entry["e"], f"{where}.e"), _integer(entry["r"], f"{where}.r")
         if (e, r) in menus:
             raise DocumentError(f"{where}: duplicate menu for level ({e}, {r})")
@@ -314,18 +314,14 @@ def parse_spec_document(text: str) -> QuasiRegularitySpec:
         options = []
         for j, opt in enumerate(entry["options"]):
             owhere = f"{where}.options[{j}]"
-            if not isinstance(opt, dict):
-                raise DocumentError(f"{owhere}: expected an object")
-            _check_keys(opt, {"constant", "terms"}, {"constant", "terms"}, owhere)
+            _object(opt, owhere, {"constant", "terms"})
             constant = _integer(opt["constant"], f"{owhere}.constant")
             if not isinstance(opt["terms"], list):
                 raise DocumentError(f"{owhere}.terms: expected a list")
             terms = []
             for t, term in enumerate(opt["terms"]):
                 twhere = f"{owhere}.terms[{t}]"
-                if not isinstance(term, dict):
-                    raise DocumentError(f"{twhere}: expected an object")
-                _check_keys(term, {"coeff", "f", "b"}, {"coeff", "f", "b"}, twhere)
+                _object(term, twhere, {"coeff", "f", "b"})
                 terms.append(RelationTerm(
                     *(_integer(term[name], f"{twhere}.{name}") for name in ("coeff", "f", "b"))
                 ))

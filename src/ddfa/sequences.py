@@ -13,6 +13,13 @@ names used by the command line are:
     tcal     0/1 recursion whose even branch switches on primality
     a131271  triangle of permutations of {1..2^n}, read row by row
 
+Any discharging automaton over the digits "0", ..., "k-1" gives a charge
+sequence in three forms (``CHARGE_FORMS``), read by ``charge_sequence`` and
+listed by ``charge_b_file_text``: "charge", the final charge of the run on
+the base-k word of n; "reduced", its value under a valuation of the states;
+and "numerator", the numerator of the reduced value, or of the charge when
+there is no valuation.
+
 Every producer is exact: Fraction or int, never float. A sequence is its
 term function ``n -> value``, which raises ``ValueError`` off its domain.
 """
@@ -117,10 +124,18 @@ def _digit_base(auto: Automaton) -> int:
     return base
 
 
+CHARGE_FORMS = ("charge", "numerator", "reduced")
+
+
 def _charge_runs(
-    auto: Automaton, valuation: Mapping[str, Fraction] | None = None
+    auto: Automaton, form: str, valuation: Mapping[str, Fraction] | None = None
 ) -> tuple[_DigitMemo, Callable[[tuple[int, ...]], tuple[int, int]]]:
     """A snapshot memo of the runs on the base-k words, and their value in ints.
+
+    ``form`` is one of ``CHARGE_FORMS``: "charge" values the final charge
+    and ignores the valuation, "reduced" needs one, and "numerator" values
+    the reduced value with a valuation and the charge without; a numerator
+    reader keeps the first int of ``value``.
 
     A snapshot (state index, word length L, charges...) of the run on the
     word of n equals ``delta_c(auto, auto.start, base_k_word(n, k))`` with
@@ -134,6 +149,12 @@ def _charge_runs(
     ``reduce_charge(valuation, state, charge)``, which is 0 for an unvalued
     final state with zero charge and a ``ValueError`` for one with any other.
     """
+    if form not in CHARGE_FORMS:
+        raise ValueError(f"unknown form {form!r}; expected charge, reduced or numerator")
+    if form == "reduced" and valuation is None:
+        raise ValueError("the reduced form needs a valuation")
+    if form == "charge":
+        valuation = None
     base = _digit_base(auto)
     states, alphabet, transition = auto.states, auto.alphabet, auto.transition
     weights = auto.rules.weights
@@ -186,25 +207,19 @@ def _charge_runs(
     return _DigitMemo(base, root, step), value
 
 
-def final_charge_sequence(auto: Automaton) -> Sequence:
-    """Final charge of the run on the base-k expansion of each n, k = |alphabet|."""
-    store, value = _charge_runs(auto)
-    return lambda n: Fraction(*value(store[n]))
+def charge_sequence(
+    auto: Automaton, form: str = "charge", valuation: Mapping[str, Fraction] | None = None
+) -> Sequence:
+    """The ``form`` of the run on the base-k expansion of each n, k = |alphabet|.
 
-
-def reduced_value_sequence(auto: Automaton, valuation: Mapping[str, Fraction]) -> Sequence:
-    """Reduced value of the run on the base-k expansion of each n, k = |alphabet|.
-
-    A final state the valuation leaves out gives 0 where its charge is 0
-    and a ``ValueError`` where it is not.
+    A Fraction for "charge" and "reduced", an int for "numerator". A final
+    state the valuation leaves out gives 0 where its charge is 0 and a
+    ``ValueError`` where it is not.
     """
-    store, value = _charge_runs(auto, valuation)
+    store, value = _charge_runs(auto, form, valuation)
+    if form == "numerator":
+        return lambda n: value(store[n])[0]
     return lambda n: Fraction(*value(store[n]))
-
-
-def numerator_sequence(seq: Sequence) -> Sequence:
-    """Numerators of an exact-rational sequence (already in lowest terms)."""
-    return lambda n: seq(n).numerator
 
 
 def charge_b_file_text(
@@ -216,20 +231,13 @@ def charge_b_file_text(
 ) -> str:
     """The b-file of terms offset <= n < offset + count of a charge sequence.
 
-    ``form`` is "charge" (final charges), "reduced" (reduced values, which
-    need a valuation) or "numerator" (numerators of the reduced values with
-    a valuation, of the charges without). Equal to ``b_file_text`` over
-    ``final_charge_sequence``, ``reduced_value_sequence`` or their
-    ``numerator_sequence``, but the range is stepped a level at a time
+    Equals ``b_file_text(charge_sequence(auto, form, valuation), count,
+    offset)``, but the range is stepped a level at a time
     (``_DigitMemo.span``) and each term is formatted from its ints.
     """
-    if form not in ("charge", "reduced", "numerator"):
-        raise ValueError(f"unknown form {form!r}; expected charge, reduced or numerator")
-    if form == "reduced" and valuation is None:
-        raise ValueError("the reduced form needs a valuation")
+    store, value = _charge_runs(auto, form, valuation)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    store, value = _charge_runs(auto, None if form == "charge" else valuation)
     terms = zip(range(offset, offset + count), map(value, store.span(offset, offset + count)))
     if form == "numerator":
         lines = [f"{n} {p}" for n, (p, _) in terms]
@@ -258,8 +266,7 @@ def scaled_charge_sequence(name: str) -> Sequence:
             f"unknown scaled-charge automaton {name!r}; expected one of "
             f"{list(SCALED_CHARGE_NAMES)}"
         ) from None
-    store, value = _charge_runs(build())
-    return lambda n: value(store[n])[0]
+    return charge_sequence(build(), "numerator")
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +388,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# the empty word's 0 gives tcal(0) = 0 and tcal(1) = 1 by the same step
+# tcal, a 0/1 recursion whose even step flips exactly when the half-index is
+# prime: tcal(0) = 0; tcal(2n) = 1 - tcal(n) if n is prime else tcal(n);
+# tcal(2n+1) = 1 - tcal(n). The empty word's 0 gives tcal(0) = 0 and
+# tcal(1) = 1 by the same step.
 _tcal = _DigitMemo(2, 0, lambda v, n: 1 - v if n & 1 or _is_prime(n >> 1) else v)
-
-
-def t_sequence(n: int) -> int:
-    """0/1 recursion whose even step flips exactly when the half-index is prime.
-
-    tcal(0) = 0; tcal(2n) = 1 - tcal(n) if n is prime else tcal(n);
-    tcal(2n+1) = 1 - tcal(n).
-    """
-    return _tcal[n]
 
 
 _TM_DFAO: Automaton = build_tm_dfao()

@@ -27,12 +27,10 @@ from ddfa.sequences import (
     a131271_triangle,
     a_recursion,
     builtin_sequence,
+    charge_sequence,
     d_shape_closed_form,
     e_sequence,
-    final_charge_sequence,
     modified_b_sequence,
-    numerator_sequence,
-    t_sequence,
     thue_morse,
 )
 
@@ -86,8 +84,8 @@ def test_criterion_02_fr_run():
 
 def test_criterion_03_sequence_goldens():
     t0 = time.perf_counter()
-    a = final_charge_sequence(build_tm_ddfa())
-    b = numerator_sequence(final_charge_sequence(build_tm_ddfa()))
+    a = charge_sequence(build_tm_ddfa())
+    b = charge_sequence(build_tm_ddfa(), "numerator")
     a_ok = [a(n) for n in range(15)] == [
         F(1, 2), F(1, 2), F(1, 4), F(3, 4), F(1, 8), F(7, 8), F(3, 8), F(5, 8),
         F(1, 16), F(15, 16), F(7, 16), F(9, 16), F(3, 16), F(13, 16), F(5, 16)]
@@ -101,7 +99,7 @@ def test_criterion_03_sequence_goldens():
         F(1, 2), F(1, 2), F(1, 4), F(3, 4), F(1, 8), F(7, 8), F(3, 4), F(3, 4),
         F(1, 16), F(15, 16), F(7, 8), F(7, 8), F(3, 4), F(3, 4), F(3, 4), F(3, 4),
         F(1, 32)]
-    tcal_ok = [t_sequence(n) for n in range(23)] == [
+    tcal_ok = [builtin_sequence("tcal")(n) for n in range(23)] == [
         0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0]
     t_ok = [thue_morse(n) for n in range(22)] == [
         0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1]
@@ -114,9 +112,9 @@ def test_criterion_03_sequence_goldens():
 
 def test_criterion_04_cross_oracles():
     t0 = time.perf_counter()
-    tm_sim = final_charge_sequence(build_tm_ddfa())
+    tm_sim = charge_sequence(build_tm_ddfa())
     a_fail = next((n for n in range(2**16) if tm_sim(n) != a_recursion(n)), None)
-    fr_sim = final_charge_sequence(build_fr_ddfao())
+    fr_sim = charge_sequence(build_fr_ddfao())
     d_fail = next((n for n in range(2**16) if fr_sim(n) != d_shape_closed_form(n)), None)
     elapsed = time.perf_counter() - t0
     ok = a_fail is None and d_fail is None and elapsed < 30.0
@@ -221,7 +219,7 @@ def test_criterion_10_kernel_evidence():
 def test_criterion_11_conjecture_finding():
     outcomes = {}
     for name, auto in (("tm_ddfa", build_tm_ddfa()), ("fr_ddfao", build_fr_ddfao())):
-        seq = numerator_sequence(final_charge_sequence(auto))
+        seq = charge_sequence(auto, "numerator")
         found = search_relation_menus(seq, k=2, E=1, m=1, level=2, coeff_bound=2,
                                       limit=2048)
         if not found.complete:

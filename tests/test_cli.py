@@ -10,7 +10,7 @@ import pytest
 import ddfa
 from ddfa.cli import main
 from ddfa.documents import AutomatonDocument, corpus_path, serialize_document
-from ddfa.sequences import b_file_text, reduced_value_sequence
+from ddfa.sequences import b_file_text, charge_sequence
 
 from conftest import random_ddfa, random_valuation
 
@@ -172,7 +172,7 @@ class TestSequence:
             valuation = random_valuation(rng, auto)
             doc = tmp_path / f"random{i}.json"
             doc.write_text(serialize_document(AutomatonDocument(auto, valuation)))
-            seq = reduced_value_sequence(auto, valuation)
+            seq = charge_sequence(auto, "reduced", valuation)
             for offset, count in ((0, base**3), (rng.randrange(base), 2), (2**1200, 3)):
                 try:
                     expected = (0, b_file_text(seq, count, offset), "")

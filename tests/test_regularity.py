@@ -27,7 +27,6 @@ from ddfa.sequences import (
     builtin_sequence,
     e_sequence,
     read_b_file,
-    t_sequence,
     thue_morse,
 )
 
@@ -73,7 +72,7 @@ def combination_value(seq, comb, n, k):
 
 class TestEvalCombination:
     def test_complement_on_tcal(self):
-        assert combination_value(t_sequence, ONE_MINUS, 2, 2) == 0  # tcal(2) = 1
+        assert combination_value(builtin_sequence("tcal"), ONE_MINUS, 2, 2) == 0  # tcal(2) = 1
 
     def test_identity(self):
         for n in (0, 3, 17):
@@ -92,8 +91,8 @@ class TestEvalCombination:
         single = comb(constant, *terms)
         double = comb(constant, *[(2 * c, f, b) for c, f, b in terms])
         for n in range(8):
-            lhs = combination_value(t_sequence, double, n, 2) - constant
-            rhs = 2 * (combination_value(t_sequence, single, n, 2) - constant)
+            lhs = combination_value(builtin_sequence("tcal"), double, n, 2) - constant
+            rhs = 2 * (combination_value(builtin_sequence("tcal"), single, n, 2) - constant)
             assert lhs == rhs
 
     def test_describe(self):

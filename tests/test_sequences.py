@@ -20,20 +20,18 @@ from ddfa.documents import corpus_path, parse_spec_document
 from ddfa.regularity import verify_quasi_k_regular
 from ddfa.sequences import (
     BUILTIN_SEQUENCE_NAMES,
+    CHARGE_FORMS,
     a131271_triangle,
     a_recursion,
     b_file_text,
     builtin_sequence,
     charge_b_file_text,
+    charge_sequence,
     d_shape_closed_form,
     e_sequence,
-    final_charge_sequence,
     modified_b_sequence,
-    numerator_sequence,
     read_b_file,
-    reduced_value_sequence,
     scaled_charge_sequence,
-    t_sequence,
     thue_morse,
 )
 
@@ -55,6 +53,7 @@ D_PREFIX = [F(p, q) for p, q in [
 E_PREFIX = [1, 1, 1, 3, 1, 7, 3, 3, 1, 15, 7, 7, 3, 3, 3, 3, 1, 31, 15]
 TCAL_PREFIX = [0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0]
 T_PREFIX = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1]
+tcal = builtin_sequence("tcal")
 # the module-level digit-walk memos behind b, tcal and t
 BUILTIN_MEMOS = (ddfa.sequences._b_recursion, ddfa.sequences._tcal, ddfa.sequences._tm_states)
 
@@ -127,22 +126,25 @@ class TestARecursion:
             a_recursion(-1)
 
     def test_matches_simulation_below_2_10(self):
-        sim = final_charge_sequence(build_tm_ddfa())
+        sim = charge_sequence(build_tm_ddfa())
         for n in range(2**10):
             assert sim(n) == a_recursion(n)
 
 
 class TestNumerators:
     def test_b_prefix(self):
-        b = numerator_sequence(final_charge_sequence(build_tm_ddfa()))
+        b = charge_sequence(build_tm_ddfa(), "numerator")
         assert [b(n) for n in range(25)] == B_PREFIX
+        assert all(type(b(n)) is int for n in range(25))  # no Fraction in search residuals
 
     def test_e_prefix_from_automaton(self):
-        e = numerator_sequence(final_charge_sequence(build_fr_ddfao()))
+        e = charge_sequence(build_fr_ddfao(), "numerator")
         assert [e(n) for n in range(19)] == E_PREFIX
 
     def test_numerator_of_integer_one(self):
-        assert numerator_sequence(lambda n: F(1))(7) == 1
+        from ddfa.discharge import degenerate_ddfa
+
+        assert charge_sequence(degenerate_ddfa(build_tm_dfa()), "numerator")(7) == 1
 
     def test_every_b_odd_below_2_16(self):
         for n in range(2**16):
@@ -212,7 +214,7 @@ class TestDShape:
         assert d_shape_closed_form(n) == expected
 
     def test_matches_simulation_below_2_10(self):
-        sim = final_charge_sequence(build_fr_ddfao())
+        sim = charge_sequence(build_fr_ddfao())
         for n in range(2**10):
             assert sim(n) == d_shape_closed_form(n)
 
@@ -230,13 +232,13 @@ class TestESequence:
         assert e_sequence(5) == 7
 
     def test_powers_of_two_give_one(self):
-        sim = numerator_sequence(final_charge_sequence(build_fr_ddfao()))
+        sim = charge_sequence(build_fr_ddfao(), "numerator")
         for m in range(13):
             assert e_sequence(2**m) == 1
             assert sim(2**m) == 1
 
     def test_equals_reduced_numerator_below_2_12(self):
-        sim = numerator_sequence(final_charge_sequence(build_fr_ddfao()))
+        sim = charge_sequence(build_fr_ddfao(), "numerator")
         for n in range(2**12):
             assert e_sequence(n) == sim(n)
 
@@ -276,19 +278,19 @@ class TestERelationCheck:
 
 class TestTcal:
     def test_prefix(self):
-        assert [t_sequence(n) for n in range(23)] == TCAL_PREFIX
+        assert [tcal(n) for n in range(23)] == TCAL_PREFIX
 
     def test_even_step_flips_on_prime_half(self):
-        assert t_sequence(4) == 1 - t_sequence(2)  # 2 is prime
-        assert t_sequence(8) == t_sequence(4)  # 4 is not
+        assert tcal(4) == 1 - tcal(2)  # 2 is prime
+        assert tcal(8) == tcal(4)  # 4 is not
 
     def test_odd_identity_below_2_16(self):
         for n in range(2**16):
-            assert t_sequence(2 * n + 1) == 1 - t_sequence(n)
+            assert tcal(2 * n + 1) == 1 - tcal(n)
 
     def test_negative_raises(self):
         with pytest.raises(ValueError):
-            t_sequence(-2)
+            tcal(-2)
 
 
 class TestThueMorse:
@@ -342,14 +344,14 @@ class TestBuiltinsOnInts:
         assert builtin_sequence("b")(self.HUGE) == 2**1201 - 1
         assert thue_morse(self.HUGE) == 0
         # tcal(2^j) = 0 for j >= 2, since 2 is the only prime half-index on the way
-        assert t_sequence(self.HUGE) == builtin_sequence("tcal")(self.HUGE) == 1
+        assert builtin_sequence("tcal")(self.HUGE) == 1
         assert builtin_sequence("a131271")(self.HUGE) == 2**1199  # T(1200, 3)
         assert e_sequence(self.HUGE) == d_shape_closed_form(self.HUGE).numerator
         word = base_k_word(self.HUGE, 2)
         for build in (build_tm_ddfa, build_fr_ddfao):
             auto = build()
             expected = delta_c(auto, auto.start, word).final_charge
-            assert final_charge_sequence(auto)(self.HUGE) == expected
+            assert charge_sequence(auto)(self.HUGE) == expected
 
     def test_in_order_t_steps_once_per_index(self, memo_steps):
         # every n read after n // 2 is one transition from its stored state
@@ -385,7 +387,7 @@ class TestDigitMemo:
             dfao = build_tm_dfao()
             return thue_morse, lambda n: int(dfao_output(dfao, base_k_word(n, 2)))
         auto = {"tm_ddfa": build_tm_ddfa, "fr_ddfao": build_fr_ddfao}[name]()
-        return (final_charge_sequence(auto),
+        return (charge_sequence(auto),
                 lambda n: delta_c(auto, auto.start, base_k_word(n, 2)).final_charge)
 
     @pytest.mark.parametrize("name", ["b", "tcal", "t", "tm_ddfa", "fr_ddfao"])
@@ -417,27 +419,27 @@ class TestDigitMemo:
 
 class TestChargeSequences:
     def test_tm_prefix(self):
-        seq = final_charge_sequence(build_tm_ddfa())
+        seq = charge_sequence(build_tm_ddfa())
         assert [seq(n) for n in range(15)] == A_PREFIX
 
     def test_fr_prefix(self):
-        seq = final_charge_sequence(build_fr_ddfao())
+        seq = charge_sequence(build_fr_ddfao())
         assert [seq(n) for n in range(17)] == D_PREFIX
 
     def test_degenerate_is_constant_one(self):
         from ddfa.discharge import degenerate_ddfa
 
-        seq = final_charge_sequence(degenerate_ddfa(build_tm_dfa()))
+        seq = charge_sequence(degenerate_ddfa(build_tm_dfa()))
         assert [seq(n) for n in range(64)] == [F(1)] * 64
 
     def test_base_mismatch_rejected(self):
         skipped_digit = replace(build_tm_ddfa(), alphabet=("0", "2"))
         with pytest.raises(ValueError, match=re.escape("alphabet ('0', '2') is not the base-2")):
-            final_charge_sequence(skipped_digit)
+            charge_sequence(skipped_digit)
 
     def test_reduced_value_sequence_with_unit_valuation(self):
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
-        seq = reduced_value_sequence(build_fr_ddfao(), valuation)
+        seq = charge_sequence(build_fr_ddfao(), "reduced", valuation)
         assert [seq(n) for n in range(17)] == D_PREFIX
 
     def test_one_symbol_alphabet_rejected(self):
@@ -447,13 +449,13 @@ class TestChargeSequences:
             transition={("q0", "0"): "q0", ("q1", "0"): "q1"},
             rules=DischargeRuleSet({(q, "0", "0"): F(1) for q in ("q0", "q1")}),
         )
-        for make in (final_charge_sequence,
-                     lambda auto: reduced_value_sequence(auto, {"q0": F(1), "q1": F(1)})):
+        for make in (charge_sequence,
+                     lambda auto: charge_sequence(auto, "reduced", {"q0": F(1), "q1": F(1)})):
             with pytest.raises(ValueError, match=re.escape("alphabet ('0',) has 1 symbol(s)")):
                 make(one_digit)
 
     def test_final_charge_runs_once_per_index(self, memo_steps):
-        seq = final_charge_sequence(build_tm_ddfa())
+        seq = charge_sequence(build_tm_ddfa())
         assert [seq(n) for n in range(15)] == A_PREFIX
         assert [seq(n) for n in range(15)] == A_PREFIX
         assert seq(7) == A_PREFIX[7]
@@ -461,7 +463,7 @@ class TestChargeSequences:
 
     def test_reduced_value_runs_once_per_index(self, memo_steps):
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
-        seq = reduced_value_sequence(build_fr_ddfao(), valuation)
+        seq = charge_sequence(build_fr_ddfao(), "reduced", valuation)
         assert [seq(n) for n in range(17)] == D_PREFIX
         assert [seq(n) for n in range(17)] == D_PREFIX
         assert len(memo_steps) == 17
@@ -479,8 +481,8 @@ class TestChargeSequences:
             checked += 1
             valuation = {q: F(rng.randint(1, 3), rng.randint(1, 2))
                          for q in auto.states if rng.random() < 0.8}
-            charges = final_charge_sequence(auto)
-            reduced = reduced_value_sequence(auto, valuation)
+            charges = charge_sequence(auto)
+            reduced = charge_sequence(auto, "reduced", valuation)
             indices = list(range(base**4)) + [rng.randrange(base**9) for _ in range(40)]
             rng.shuffle(indices)
             for n in indices:
@@ -497,7 +499,7 @@ class TestChargeSequences:
     def test_cold_window_equals_delta_c(self, build):
         # a window read first, far from index 0, builds its ancestors itself
         auto = build()
-        seq = final_charge_sequence(auto)
+        seq = charge_sequence(auto)
         window = range(28672, 28672 + 2048)
         assert [seq(n) for n in window] == [
             delta_c(auto, auto.start, base_k_word(n, 2)).final_charge for n in window]
@@ -507,7 +509,7 @@ class TestChargeSequences:
     def test_scaled_charge_sequence_is_shared(self, name, build):
         shared = scaled_charge_sequence(name)
         assert scaled_charge_sequence(name) is shared
-        fresh = numerator_sequence(final_charge_sequence(build()))
+        fresh = charge_sequence(build(), "numerator")
         assert [shared(n) for n in range(2**12)] == [fresh(n) for n in range(2**12)]
 
     def test_scaled_charge_terms_run_once_per_process(self, memo_steps):
@@ -525,13 +527,13 @@ class TestChargeSequences:
             scaled_charge_sequence("tm_dfa")
 
     def test_reduced_value_sequence_missing_state(self):
-        seq = reduced_value_sequence(build_fr_ddfao(), {"q0": F(1)})
+        seq = charge_sequence(build_fr_ddfao(), "reduced", {"q0": F(1)})
         with pytest.raises(ValueError, match="no assigned value"):
             seq(2)
 
 
 class TestChargeListing:
-    """``charge_b_file_text`` against ``b_file_text`` over the term functions."""
+    """``charge_b_file_text`` against ``b_file_text`` over ``charge_sequence``."""
 
     @staticmethod
     def outcome(make_text):
@@ -539,14 +541,6 @@ class TestChargeListing:
             return make_text()
         except ValueError as exc:
             return f"ValueError: {exc}"
-
-    @staticmethod
-    def term_function(auto, form, valuation):
-        if form == "charge":
-            return final_charge_sequence(auto)
-        inner = (final_charge_sequence(auto) if valuation is None
-                 else reduced_value_sequence(auto, valuation))
-        return inner if form == "reduced" else numerator_sequence(inner)
 
     @pytest.mark.parametrize("base", [2, 3, 4])
     def test_equals_b_file_text_on_random_automata(self, base):
@@ -556,14 +550,12 @@ class TestChargeListing:
             valuation = random_valuation(rng, auto) if rng.random() < 0.8 else None
             windows = [(0, base**3 + 5), (rng.randrange(base), 3),
                        (rng.randrange(base**9, base**10), 40), (2**1200, 4)]
-            forms = ("charge", "numerator") if valuation is None else (
-                "charge", "reduced", "numerator")
-            for form in forms:
+            for form in CHARGE_FORMS:  # "reduced" without a valuation: both refuse
                 for offset, count in windows:
-                    seq = self.term_function(auto, form, valuation)
                     assert self.outcome(
                         lambda: charge_b_file_text(auto, form, count, offset, valuation)
-                    ) == self.outcome(lambda: b_file_text(seq, count, offset))
+                    ) == self.outcome(lambda: b_file_text(
+                        charge_sequence(auto, form, valuation), count, offset))
 
     def test_unvalued_final_state_lists_zero_charge_and_refuses_the_rest(self):
         rng = random.Random(0x2E60)
@@ -600,14 +592,20 @@ class TestChargeListing:
         assert memo_steps == expected
         assert memo_steps.memos and not any(memo_steps.memos)
 
-    def test_refuses_bad_arguments(self):
+    @pytest.mark.parametrize("make", [charge_b_file_text, charge_sequence],
+                             ids=["charge_b_file_text", "charge_sequence"])
+    def test_refuses_bad_arguments(self, make):
+        # a term function refuses a bad form when it is built, before any read
         tm = build_tm_ddfa()
-        for args, message in [(("reduced", 3), "the reduced form needs a valuation"),
-                              (("value", 3), "unknown form 'value'"),
-                              (("charge", 0), "count must be >= 1, got 0"),
-                              (("charge", 3, -1), "n must be nonnegative, got -1")]:
+        cases = [(("reduced",), "the reduced form needs a valuation"),
+                 (("value",), "unknown form 'value'")]
+        if make is charge_b_file_text:
+            cases = [((form, 3), message) for (form,), message in cases] + [
+                (("charge", 0), "count must be >= 1, got 0"),
+                (("charge", 3, -1), "n must be nonnegative, got -1")]
+        for args, message in cases:
             with pytest.raises(ValueError, match=re.escape(message)):
-                charge_b_file_text(tm, *args)
+                make(tm, *args)
 
 
 class TestSequenceWrapper:
@@ -620,10 +618,10 @@ class TestSequenceWrapper:
 
     @pytest.mark.parametrize("make", [
         *[lambda name=name: builtin_sequence(name) for name in BUILTIN_SEQUENCE_NAMES],
-        lambda: final_charge_sequence(build_tm_ddfa()),
-        lambda: reduced_value_sequence(build_fr_ddfao(),
-                                       {q: F(1) for q in ("q0", "q1", "q2", "q3")}),
-        lambda: numerator_sequence(final_charge_sequence(build_fr_ddfao())),
+        lambda: charge_sequence(build_tm_ddfa()),
+        lambda: charge_sequence(build_fr_ddfao(), "reduced",
+                                {q: F(1) for q in ("q0", "q1", "q2", "q3")}),
+        lambda: charge_sequence(build_fr_ddfao(), "numerator"),
         lambda: read_b_file("0 1\n1 2\n"),
     ], ids=[*BUILTIN_SEQUENCE_NAMES, "final-charge", "reduced-value", "numerators", "b-file"])
     def test_negative_index_refused(self, make):
