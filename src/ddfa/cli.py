@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .automata import delta_star, parse_word, to_dot, validate_dfa
@@ -69,6 +70,24 @@ def _load_sequence(name_or_path: str) -> Sequence:
     )
 
 
+@contextmanager
+def _any_int_digits():
+    """Lift CPython's int -> str digit limit, where it has one, for exact output.
+
+    The limit guards parsing untrusted text; an exact value ddfa computed
+    is printed whatever its size. The old limit is restored on exit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _format_vector(states, vector) -> str:
     return " ".join(f"{q}={vector[q]}" for q in states)
 
@@ -94,15 +113,16 @@ def cmd_run(args) -> int:
         print(state if auto.output is None else f"{state} {auto.output[state]}")
         return EXIT_OK
     snapshots = charge_trajectory(auto, auto.start, word)
-    if args.trace:
-        for i, (state, vector) in enumerate(snapshots):
-            prefix = "start" if i == 0 else f"read {word[i - 1]} ->"
-            print(f"step {i}: {prefix} {state}  {_format_vector(auto.states, vector)}")
-    state, vector = snapshots[-1]
-    charge = vector[state]
-    print(f"{state} {charge}")
-    if doc.valuation is not None:
-        print(f"reduced {reduce_charge(doc.valuation, state, charge)}")
+    with _any_int_digits():
+        if args.trace:
+            for i, (state, vector) in enumerate(snapshots):
+                prefix = "start" if i == 0 else f"read {word[i - 1]} ->"
+                print(f"step {i}: {prefix} {state}  {_format_vector(auto.states, vector)}")
+        state, vector = snapshots[-1]
+        charge = vector[state]
+        print(f"{state} {charge}")
+        if doc.valuation is not None:
+            print(f"reduced {reduce_charge(doc.valuation, state, charge)}")
     return EXIT_OK
 
 

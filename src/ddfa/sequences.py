@@ -77,20 +77,23 @@ class _DigitMemo(dict):
             value = self[m] = self.step(value, m)
         return value
 
-    def span(self, lo: int, hi: int) -> Iterator:
-        """The values of lo <= n < hi in order, a level at a time, storing nothing.
+    def span(self, lo: int, hi: int, last: Callable[[object, int], object] | None = None
+             ) -> Iterator:
+        """``last(parent value, n)`` for lo <= n < hi in order, storing nothing.
 
+        ``last`` is ``step`` by default, which gives the values of the range.
         The indices >= k of [lo, hi) have their parents in
         [max(lo, k) // k, (hi - 1) // k + 1), and so on up to a range of
-        one-digit words, whose parent is the empty word. Each level is one
-        ``step`` per index from its parent's entry in the level above, which
-        is the only level kept; the last level is stepped as it is read.
+        one-digit words, whose parent is the empty word. Each ancestor level
+        is one ``step`` per index from its parent's entry in the level
+        above, which is the only level kept; the last level is mapped
+        through ``last`` straight from its parents as it is read.
         """
         if lo < 0:
             raise ValueError(f"n must be nonnegative, got {lo}")
-        k, root, step = self.k, self.root, self.step
+        k, root = self.k, self.root
 
-        def level(parents: list, first: int, lo: int, hi: int) -> Iterator:
+        def level(parents: list, first: int, lo: int, hi: int, step) -> Iterator:
             # parents holds the values of first, first + 1, ...; n >= k reads n // k
             start = max(lo, k)
             each = chain.from_iterable(map(repeat, parents, repeat(k)))
@@ -103,8 +106,8 @@ class _DigitMemo(dict):
             ranges.append((lo, hi))
         values, first = [], 0
         for lo, hi in reversed(ranges[1:]):
-            values, first = list(level(values, first, lo, hi)), lo
-        return level(values, first, *ranges[0])
+            values, first = list(level(values, first, lo, hi, self.step)), lo
+        return level(values, first, *ranges[0], last or self.step)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +132,12 @@ CHARGE_FORMS = ("charge", "numerator", "reduced")
 
 def _charge_runs(
     auto: Automaton, form: str, valuation: Mapping[str, Fraction] | None = None
-) -> tuple[_DigitMemo, Callable[[tuple[int, ...]], tuple[int, int]]]:
-    """A snapshot memo of the runs on the base-k words, and their value in ints.
+) -> tuple[
+    _DigitMemo,
+    Callable[[tuple[int, ...]], tuple[int, int]],
+    Callable[[tuple[int, ...], int], tuple[int, int]],
+]:
+    """A snapshot memo of the runs on the base-k words, their value in ints, and a leaf.
 
     ``form`` is one of ``CHARGE_FORMS``: "charge" values the final charge
     and ignores the valuation, "reduced" needs one, and "numerator" values
@@ -148,6 +155,11 @@ def _charge_runs(
     gcd: the final charge, or with a valuation the reduced value
     ``reduce_charge(valuation, state, charge)``, which is 0 for an unvalued
     final state with zero charge and a ``ValueError`` for one with any other.
+
+    ``leaf(parent snapshot, n)`` equals ``value(step(parent snapshot, n))``
+    without building the snapshot of n: the final charge is the moving
+    charge times the D-scaled weights into the next state, plus D times
+    the next state's own charge when it is not the current one.
     """
     if form not in CHARGE_FORMS:
         raise ValueError(f"unknown form {form!r}; expected charge, reduced or numerator")
@@ -203,8 +215,39 @@ def _charge_runs(
         common = gcd(numerator, denominator)
         return numerator // common, denominator // common
 
+    # landing[state][digit] = (next state, D * the weights into it, its (p, q) or None)
+    landing = tuple(
+        tuple(
+            (target_state, sum(weight for target, weight in edges if target == target_state),
+             values[target_state])
+            for target_state, edges in row
+        )
+        for row in moves
+    )
+    powers: dict[int, int] = {}  # parent word length L -> D**(L + 1)
+
+    def leaf(snapshot: tuple[int, ...], n: int) -> tuple[int, int]:
+        state = snapshot[0]
+        target_state, weight, valued = landing[state][n % base]
+        charge = snapshot[2 + state] * weight
+        if target_state != state:
+            charge += snapshot[2 + target_state] * scale
+        if valued is None:
+            if charge:
+                raise ValueError(f"state {states[target_state]} has no assigned value")
+            return 0, 1
+        length = snapshot[1]
+        try:
+            power = powers[length]
+        except KeyError:
+            power = powers[length] = scale ** (length + 1)
+        p, q = valued
+        numerator, denominator = p * charge, q * power
+        common = gcd(numerator, denominator)
+        return numerator // common, denominator // common
+
     root = (index[auto.start], 0, *(int(q == auto.start) for q in states))
-    return _DigitMemo(base, root, step), value
+    return _DigitMemo(base, root, step), value, leaf
 
 
 def charge_sequence(
@@ -216,7 +259,7 @@ def charge_sequence(
     state the valuation leaves out gives 0 where its charge is 0 and a
     ``ValueError`` where it is not.
     """
-    store, value = _charge_runs(auto, form, valuation)
+    store, value, _ = _charge_runs(auto, form, valuation)
     if form == "numerator":
         return lambda n: value(store[n])[0]
     return lambda n: Fraction(*value(store[n]))
@@ -232,13 +275,14 @@ def charge_b_file_text(
     """The b-file of terms offset <= n < offset + count of a charge sequence.
 
     Equals ``b_file_text(charge_sequence(auto, form, valuation), count,
-    offset)``, but the range is stepped a level at a time
-    (``_DigitMemo.span``) and each term is formatted from its ints.
+    offset)``, but the ancestors of the range are stepped a level at a time
+    (``_DigitMemo.span``), each term is valued straight from its parent's
+    snapshot by the runs' ``leaf`` and formatted from its ints.
     """
-    store, value = _charge_runs(auto, form, valuation)
+    store, _, leaf = _charge_runs(auto, form, valuation)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    terms = zip(range(offset, offset + count), map(value, store.span(offset, offset + count)))
+    terms = zip(range(offset, offset + count), store.span(offset, offset + count, leaf))
     if form == "numerator":
         lines = [f"{n} {p}" for n, (p, _) in terms]
     else:

@@ -9,7 +9,8 @@ import pytest
 
 import ddfa
 from ddfa.cli import main
-from ddfa.documents import AutomatonDocument, corpus_path, serialize_document
+from ddfa.discharge import delta_c
+from ddfa.documents import AutomatonDocument, corpus_path, parse_document, serialize_document
 from ddfa.sequences import b_file_text, charge_sequence
 
 from conftest import random_ddfa, random_valuation
@@ -81,6 +82,25 @@ class TestRun:
         lines = out.splitlines()
         assert len(lines) == 6  # 5 snapshots plus the final line
         assert lines[-1] == "q0 7/16"
+
+    @pytest.mark.parametrize("ones", [14280, 14300])
+    def test_charge_past_the_int_digit_limit_prints(self, capsys, ones):
+        # the charge after n ones has denominator 2**n: 4299 digits, then 4305,
+        # past CPython's default limit of 4300 for int -> str
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        limit = get_limit()
+        code, out, err = run_cli(capsys, "run", TM, "1" * ones)
+        assert (code, err, get_limit()) == (0, "", limit)
+        auto = parse_document(Path(TM).read_text(encoding="utf-8")).automaton
+        state, charge = delta_c(auto, auto.start, ("1",) * ones)
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{state} {charge}\n"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert out == expected
 
     def test_plain_dfao_run(self, capsys):
         code, out, _ = run_cli(capsys, "run", TM_DFAO, "110")

@@ -582,15 +582,85 @@ class TestChargeListing:
 
     @pytest.mark.parametrize("base,offset,count", [
         (2, 0, 40), (2, 28672, 2048), (3, 2, 50), (4, 70, 7), (2, 2**70 + 5, 9)])
-    def test_steps_each_range_once_and_stores_nothing(self, base, offset, count, memo_steps):
+    def test_steps_each_range_once_and_stores_nothing(
+            self, base, offset, count, memo_steps, monkeypatch):
+        # the ancestor ranges are stepped, the range itself is valued by the leaf
+        valued, span = [], ddfa.sequences._DigitMemo.span
+
+        def counted_span(memo, lo, hi, last=None):
+            def counting(parent, n):
+                valued.append(n)
+                return last(parent, n)
+            return span(memo, lo, hi, counting)
+
+        monkeypatch.setattr(ddfa.sequences._DigitMemo, "span", counted_span)
         auto = build_tm_ddfa() if base == 2 else random_base_k_ddfa(random.Random(base), base)
         charge_b_file_text(auto, "charge", count, offset)
-        expected, level = [], set(range(offset, offset + count))
-        while level:  # the range, then the parents of its indices >= base, and so on up
+        expected, level = [], {n // base for n in range(offset, offset + count) if n >= base}
+        while level:  # the parents of the range's indices >= base, and so on up
             expected[:0] = sorted(level)
             level = {n // base for n in level if n >= base}
         assert memo_steps == expected
+        assert valued == list(range(offset, offset + count))
         assert memo_steps.memos and not any(memo_steps.memos)
+
+    @pytest.mark.parametrize("base", [2, 3, 4])
+    def test_leaf_equals_value_of_step(self, base):
+        rng = random.Random(0x1EAF + base)
+        seen = set()
+        for _ in range(25):
+            auto = random_base_k_ddfa(rng, base)
+            valuation = random_valuation(rng, auto)
+            weights = auto.rules.weights
+            for q in auto.states:
+                for s in auto.alphabet:
+                    target = auto.transition[(q, s)]
+                    into = [t for t in auto.alphabet if auto.transition[(q, t)] == target]
+                    if target == q:
+                        seen.add("self-loop")
+                    if len(into) > 1:
+                        seen.add("edges into one target")
+                    if not all(weights[(q, s, t)] for t in into):
+                        seen.add("zero weight")
+            for form in CHARGE_FORMS:
+                if form == "reduced" and not valuation:
+                    continue
+                store, value, leaf = ddfa.sequences._charge_runs(auto, form, valuation)
+                for state in range(len(auto.states)):
+                    for length in (0, 1, 5, 70):
+                        charges = [rng.choice([0, 0, 1, rng.randrange(2**80)]) for _ in auto.states]
+                        parent = (state, length, *charges)
+                        for digit in range(base):
+                            n = rng.randrange(2**length) * base + digit
+                            assert self.outcome(lambda: leaf(parent, n)) == self.outcome(
+                                lambda: value(store.step(parent, n)))
+        assert seen == {"self-loop", "edges into one target", "zero weight"}
+
+    @pytest.mark.parametrize("base", [2, 3, 4])
+    def test_leaf_listing_fails_where_random_access_fails(self, base):
+        def first_failure(terms, indices):
+            read = []
+            for n in indices:
+                try:
+                    read.append(next(terms))
+                except ValueError as exc:
+                    return read, n, str(exc)
+            return read, None, None
+
+        rng = random.Random(0xFA11 + base)
+        outcomes = set()
+        for _ in range(12):
+            auto = random_base_k_ddfa(rng, base)
+            valuation = random_valuation(rng, auto)
+            for offset in (0, base - 1, 2**70 + 5, 2**1200):
+                window = range(offset, offset + 2 * base**2 + 3)
+                store, _, leaf = ddfa.sequences._charge_runs(auto, "reduced", valuation)
+                listed = first_failure(
+                    (F(p, q) for p, q in store.span(window.start, window.stop, leaf)), window)
+                read = first_failure(map(charge_sequence(auto, "reduced", valuation), window), window)
+                assert listed == read
+                outcomes.add(read[1] is None)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("make", [charge_b_file_text, charge_sequence],
                              ids=["charge_b_file_text", "charge_sequence"])
