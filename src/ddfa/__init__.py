@@ -1,7 +1,8 @@
 """Exact-arithmetic toolkit for charge-discharging finite automata.
 
 The one ``Automaton`` type (a DFA, optionally with an output map and
-discharge rules) lives in ``automata``; charge runs and their reduced forms
+discharge rules, a mapping (state, read symbol, edge label) -> weight)
+lives in ``automata``; rule checks, charge runs and their reduced forms
 in ``discharge``; derived number sequences and their closed forms in
 ``sequences``; menu-based relation verification, search, and kernel
 evidence in ``regularity``; the JSON file format in ``documents``; and the
@@ -22,7 +23,6 @@ from .automata import (
 )
 from .discharge import (
     ChargeResult,
-    DischargeRuleSet,
     ReducedResult,
     build_fr_ddfao,
     build_tm_ddfa,

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping
-
-if TYPE_CHECKING:
-    from .discharge import DischargeRuleSet
+from typing import Iterable, Mapping
 
 Word = tuple[str, ...]
 
@@ -47,6 +44,10 @@ class Automaton:
 
     An ``output`` map from states to rationals makes it a DFAO, which has
     no accepting set; discharge ``rules`` make it a discharging automaton.
+    ``rules[(q, s, t)]`` is the share of the charge on state ``q`` that
+    moves along the out-edge labeled ``t`` when symbol ``s`` is read in
+    ``q``; ``t == s`` is the edge taken. There is one key per state and
+    pair of symbols.
     """
 
     states: tuple[str, ...]
@@ -55,7 +56,7 @@ class Automaton:
     start: str
     accepting: frozenset[str] = frozenset()
     output: Mapping[str, Fraction] | None = None
-    rules: DischargeRuleSet | None = None
+    rules: Mapping[tuple[str, str, str], Fraction] | None = None
 
     @property
     def kind(self) -> str:
@@ -184,7 +185,7 @@ def to_dot(auto: Automaton) -> str:
     lines.append(f"  __start -> {quoted(auto.start)};")
     for q in auto.states:
         for s in auto.alphabet:
-            label = s if auto.rules is None else f"{s}: {auto.rules.weights[(q, s, s)]}"
+            label = s if auto.rules is None else f"{s}: {auto.rules[(q, s, s)]}"
             lines.append(
                 f"  {quoted(q)} -> {quoted(auto.transition[(q, s)])} [label={quoted(label)}];")
     lines.append("}")

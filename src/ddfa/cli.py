@@ -152,12 +152,15 @@ def cmd_dot(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.conjecture:
+        given = [f"--{name}" for name in ("seq", "spec", "depth") if vars(args)[name] is not None]
+        if given:
+            raise DocumentError(f"--conjecture takes no {' or '.join(given)}")
         return _cmd_conjecture(args)
     if not args.seq or not args.spec:
         raise DocumentError("verify needs --seq and --spec (or --conjecture)")
     seq = _load_sequence(args.seq)
     spec = parse_spec_document(_read(args.spec))
-    report = verify_quasi_k_regular(seq, spec, args.max, args.depth)
+    report = verify_quasi_k_regular(seq, spec, args.max, 3 if args.depth is None else args.depth)
     for (e, r), level in sorted(report.levels.items()):
         status = "ok" if level.ok else f"FAILED first at n={level.first_failure}"
         print(f"level ({e},{r}): checked {level.checked}, {status}")
@@ -275,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", help=f"builtin {BUILTIN_SEQUENCE_NAMES} or a sequence file")
     p.add_argument("--spec", help="relation spec document")
     p.add_argument("--max", type=int, default=4096, help="largest n checked (default 4096)")
-    p.add_argument("--depth", type=int, default=3, help="levels above E to check (default 3)")
+    p.add_argument("--depth", type=int, help="levels above E to check (default 3)")
     p.add_argument(
         "--conjecture",
         choices=("scaled-charges",),

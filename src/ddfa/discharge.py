@@ -22,19 +22,6 @@ ONE = Fraction(1)
 ChargeVector = dict[str, Fraction]
 
 
-@dataclass(frozen=True)
-class DischargeRuleSet:
-    """Edge weights of a discharging automaton.
-
-    ``weights[(q, s, t)]`` is the share of the charge on state ``q`` that
-    moves along the out-edge labeled ``t`` when symbol ``s`` is read in
-    ``q``; ``t == s`` is the edge taken. There is one key per state and
-    pair of symbols.
-    """
-
-    weights: Mapping[tuple[str, str, str], Fraction]
-
-
 class ChargeResult(NamedTuple):
     final_state: str
     final_charge: Fraction
@@ -66,19 +53,18 @@ class ReducedResult:
 
 def validate_rules(auto: Automaton) -> ValidationReport:
     """Check the discharge rule set: exact coverage, nonnegativity, unit sums."""
-    weights = auto.rules.weights
     report = ValidationReport("discharge rules")
     expected = set(product(auto.states, auto.alphabet, auto.alphabet))
-    for key in expected - set(weights):
+    for key in expected - set(auto.rules):
         report.add(f"missing weight for {key}")
-    for key in set(weights) - expected:
+    for key in set(auto.rules) - expected:
         report.add(f"unexpected weight key {key}")
-    for key, w in weights.items():
+    for key, w in auto.rules.items():
         if w < 0:
             report.add(f"negative weight {w} at {key}")
     if report.ok:
         for q, s in product(auto.states, auto.alphabet):
-            total = sum((weights[(q, s, t)] for t in auto.alphabet), ZERO)
+            total = sum((auto.rules[(q, s, t)] for t in auto.alphabet), ZERO)
             if total != 1:
                 report.add(f"weights for ({q}, {s}) sum to {total}, must sum to exactly 1")
     return report
@@ -99,7 +85,7 @@ def charge_step(
     moving = vector[current]
     new = dict(vector)
     new[current] = ZERO
-    transition, weights = auto.transition, auto.rules.weights
+    transition, weights = auto.transition, auto.rules
     for t in auto.alphabet:
         new[transition[(current, t)]] += moving * weights[(current, symbol, t)]
     return transition[(current, symbol)], new
@@ -145,10 +131,10 @@ def reduce_charge(
     return ReducedResult(state, charge)
 
 
-def equal_split_rules(base: Automaton) -> DischargeRuleSet:
+def equal_split_rules(base: Automaton) -> dict[tuple[str, str, str], Fraction]:
     """Every (state, symbol) family splits evenly over the |alphabet| out-edges."""
     keys = product(base.states, base.alphabet, base.alphabet)
-    return DischargeRuleSet(dict.fromkeys(keys, Fraction(1, len(base.alphabet))))
+    return dict.fromkeys(keys, Fraction(1, len(base.alphabet)))
 
 
 def degenerate_ddfa(base: Automaton) -> Automaton:
@@ -158,8 +144,7 @@ def degenerate_ddfa(base: Automaton) -> Automaton:
     they reproduce plain transition behavior exactly.
     """
     keys = product(base.states, base.alphabet, base.alphabet)
-    return replace(base, rules=DischargeRuleSet(
-        {(q, s, t): ONE if t == s else ZERO for q, s, t in keys}))
+    return replace(base, rules={(q, s, t): ONE if t == s else ZERO for q, s, t in keys})
 
 
 def build_tm_ddfa() -> Automaton:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .automata import Automaton, validate_dfa
-from .discharge import DischargeRuleSet, validate_rules
+from .discharge import validate_rules
 from .regularity import (
     AffineCombination,
     QuasiRegularitySpec,
@@ -48,10 +49,28 @@ AUTOMATON_KINDS = ("dfa", "dfao", "ddfa", "ddfao")
 _RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/(-?[0-9]+))?$")  # not \d: it takes any Unicode digit
 
 
+def decimal_literal(text: str, where: str) -> int:
+    """``int`` of a checked digit string; past CPython's digit limit, a DocumentError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DocumentError(f"{where}: a literal of {len(text.lstrip('-'))} digits is over "
+                            f"the limit of {sys.get_int_max_str_digits()} digits") from None
+
+
+@dataclass(frozen=True)
+class _LongLiteral:
+    """A JSON integer literal past the digit limit; the field that reads it refuses it."""
+
+    text: str
+
+
 def parse_rational(value, where: str) -> Fraction:
     """Exact rational from an int or a "p/q" string; floats are rejected."""
     if isinstance(value, bool):
         raise DocumentError(f"{where}: expected a rational, got a boolean")
+    if isinstance(value, _LongLiteral):
+        value = value.text
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
@@ -62,10 +81,10 @@ def parse_rational(value, where: str) -> Fraction:
         match = _RATIONAL_RE.match(value.strip())
         if not match:
             raise DocumentError(f"{where}: {value!r} is not a rational literal")
-        numerator = int(match.group(1))
+        numerator = decimal_literal(match.group(1), where)
         if match.group(2) is None:
             return Fraction(numerator)
-        denominator = int(match.group(2))
+        denominator = decimal_literal(match.group(2), where)
         if denominator == 0:
             raise DocumentError(f"{where}: zero denominator in {value!r}")
         if denominator < 0:
@@ -111,6 +130,8 @@ def _name(value, where: str) -> str:
 
 
 def _integer(value, where: str) -> int:
+    if isinstance(value, _LongLiteral):
+        return decimal_literal(value.text, where)
     if not isinstance(value, int) or isinstance(value, bool):
         raise DocumentError(f"{where}: expected an integer")
     return value
@@ -125,9 +146,16 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def _json_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongLiteral(text)
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -177,11 +205,11 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
             raise DocumentError(f"{where}: duplicate transition for {key}")
         transition[key] = _name(entry["to"], f"{where}.to")
 
-    rules = None
+    rules: dict[tuple[str, str, str], Fraction] | None = None
     if with_rules:
         if not isinstance(obj["discharge"], list):
             raise DocumentError("discharge: expected a list")
-        weights: dict[tuple[str, str, str], Fraction] = {}
+        rules = {}
         seen_states: set[str] = set()
         for i, entry in enumerate(obj["discharge"]):
             where = f"discharge[{i}]"
@@ -195,7 +223,7 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
             if not isinstance(entry["current"], dict):
                 raise DocumentError(f"{where}.current: expected an object")
             for s, w in entry["current"].items():
-                weights[(q, s, s)] = parse_rational(w, f"{where}.current[{s}]")
+                rules[(q, s, s)] = parse_rational(w, f"{where}.current[{s}]")
             if not isinstance(entry["notCurrent"], dict):
                 raise DocumentError(f"{where}.notCurrent: expected an object")
             for s, inner in entry["notCurrent"].items():
@@ -207,8 +235,7 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
                             f"{where}.notCurrent[{s}]: names the read symbol {s!r}, "
                             "whose weight belongs in current"
                         )
-                    weights[(q, s, t)] = parse_rational(w, f"{where}.notCurrent[{s}][{t}]")
-        rules = DischargeRuleSet(weights)
+                    rules[(q, s, t)] = parse_rational(w, f"{where}.notCurrent[{s}][{t}]")
 
     if with_output:
         if not isinstance(obj["output"], dict):
@@ -249,7 +276,6 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
 def serialize_document(doc: AutomatonDocument) -> str:
     """Canonical text for an automaton document (stable bytes)."""
     auto = doc.automaton
-    rules = auto.rules
     obj: dict = {
         "kind": auto.kind,
         "states": list(auto.states),
@@ -265,13 +291,13 @@ def serialize_document(doc: AutomatonDocument) -> str:
         for q in auto.states
         for s in auto.alphabet
     ]
-    if rules is not None:
+    if auto.rules is not None:
         obj["discharge"] = [
             {
                 "state": q,
-                "current": {s: str(rules.weights[(q, s, s)]) for s in auto.alphabet},
+                "current": {s: str(auto.rules[(q, s, s)]) for s in auto.alphabet},
                 "notCurrent": {
-                    s: {t: str(rules.weights[(q, s, t)]) for t in auto.alphabet if t != s}
+                    s: {t: str(auto.rules[(q, s, t)]) for t in auto.alphabet if t != s}
                     for s in auto.alphabet
                 },
             }

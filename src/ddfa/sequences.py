@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Mapping
 
 from .automata import Automaton, build_tm_dfao
 from .discharge import build_fr_ddfao, build_tm_ddfa
-from .documents import parse_rational
+from .documents import decimal_literal, parse_rational
 from .regularity import Sequence
 
 
@@ -169,7 +169,7 @@ def _charge_runs(
         valuation = None
     base = _digit_base(auto)
     states, alphabet, transition = auto.states, auto.alphabet, auto.transition
-    weights = auto.rules.weights
+    weights = auto.rules
     index = {q: i for i, q in enumerate(states)}
     scale = lcm(*(w.denominator for w in weights.values()))
     moves = tuple(
@@ -499,7 +499,7 @@ def read_b_file(text: str) -> Sequence:
             raise ValueError(
                 f"line {lineno}: index {parts[0]!r} is not a non-negative decimal integer"
             )
-        n = int(parts[0])
+        n = decimal_literal(parts[0], f"line {lineno}")
         if n in table:
             raise ValueError(f"line {lineno}: duplicate index {n}")
         value = parse_rational(parts[1], f"line {lineno}")

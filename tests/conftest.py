@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from ddfa.automata import Automaton
-from ddfa.discharge import DischargeRuleSet
 
 
 def random_dfa(rng: random.Random, max_states: int = 6, max_symbols: int = 4) -> Automaton:
@@ -24,7 +23,7 @@ def random_dfa(rng: random.Random, max_states: int = 6, max_symbols: int = 4) ->
     return Automaton(states, alphabet, transition, states[rng.randrange(n_states)], accepting)
 
 
-def random_rules(rng: random.Random, dfa: Automaton) -> DischargeRuleSet:
+def random_rules(rng: random.Random, dfa: Automaton) -> dict[tuple[str, str, str], Fraction]:
     """Random nonnegative rational weights, exact unit sum per (state, symbol)."""
     weights: dict[tuple[str, str, str], Fraction] = {}
     for q in dfa.states:
@@ -36,7 +35,7 @@ def random_rules(rng: random.Random, dfa: Automaton) -> DischargeRuleSet:
             edges = [s] + [t for t in dfa.alphabet if t != s]  # raw[0] on the edge taken
             for weight, t in zip(raw, edges):
                 weights[(q, s, t)] = Fraction(weight, total)
-    return DischargeRuleSet(weights)
+    return weights
 
 
 def random_ddfa(rng: random.Random, **limits) -> Automaton:

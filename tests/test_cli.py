@@ -376,6 +376,14 @@ class TestVerify:
         assert code == 0
         assert "supported at desk scale" in out
 
+    @pytest.mark.parametrize("option", [["--seq", "t"], ["--depth", "4"], ["--depth", "3"],
+                                        ["--spec", str(corpus_path("t_singleton_spec.json"))]])
+    def test_conjecture_refuses_options_it_ignores(self, capsys, option):
+        code, out, err = run_cli(capsys, "verify", "--conjecture", "scaled-charges",
+                                 "--max", "64", *option)
+        assert (code, out) == (2, "")
+        assert err == f"error: --conjecture takes no {option[0]}\n"
+
     def test_conjecture_output_does_not_depend_on_the_memo(self, capsys):
         from ddfa.sequences import scaled_charge_sequence
 
@@ -515,6 +523,40 @@ class TestKernel:
         code, _, err = run_cli(capsys, "kernel", "--seq", str(path))
         assert code == 2
         assert "line 3: duplicate index 1" in err
+
+
+LONG = "1" * 4301  # one digit past CPython's default int <- str limit
+
+
+def _with_field(corpus_name: str, field: str, raw: str) -> str:
+    """A corpus document with ``field`` set to the JSON text ``raw``."""
+    obj = json.loads(corpus_path(corpus_name).read_text(encoding="utf-8"))
+    obj[field] = "RAW"
+    return json.dumps(obj).replace('"RAW"', raw)
+
+
+LONG_LITERALS = {  # case -> (input file text, argv reading it, field or line named)
+    "valuation string": (_with_field("fr_ddfao.json", "valuation", '{"q3": "1/7%s"}' % LONG[1:]),
+                         ["run", "input", "10"], "valuation[q3]"),
+    "valuation number": (_with_field("fr_ddfao.json", "valuation", '{"q3": %s}' % LONG),
+                         ["run", "input", "10"], "valuation[q3]"),
+    "spec integer": (_with_field("t_singleton_spec.json", "m", LONG),
+                     ["verify", "--seq", "t", "--spec", "input"], "m"),
+    "b-file value": (f"0 1\n1 {LONG}\n", ["kernel", "--seq", "input"], "line 2"),
+    "b-file index": (f"0 1\n{LONG} 1\n", ["kernel", "--seq", "input"], "line 2"),
+}
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4301,
+                    reason="no int <- str digit limit below 4301 digits")
+@pytest.mark.parametrize("case", LONG_LITERALS)
+def test_long_literal_exit_two_naming_field_or_line(capsys, tmp_path, monkeypatch, case):
+    text, argv, where = LONG_LITERALS[case]
+    (tmp_path / "input").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {where}: a literal of 4301 digits is over the limit of ")
 
 
 class TestWorkLimit:

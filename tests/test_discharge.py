@@ -12,7 +12,6 @@ from ddfa.automata import (
     dfao_output,
 )
 from ddfa.discharge import (
-    DischargeRuleSet,
     ReducedResult,
     build_fr_ddfao,
     build_tm_ddfa,
@@ -55,7 +54,7 @@ def ddfa_and_word(draw):
         alphabet[draw(st.integers(0, n_symbols - 1))]
         for _ in range(draw(st.integers(0, 24)))
     )
-    return replace(dfa, rules=DischargeRuleSet(weights)), word
+    return replace(dfa, rules=weights), word
 
 
 class TestValidateRules:
@@ -64,27 +63,27 @@ class TestValidateRules:
 
     def test_bad_sum_reported(self):
         tm = build_tm_ddfa()
-        weights = dict(tm.rules.weights)
+        weights = dict(tm.rules)
         weights[("q0", "0", "0")] = F(3, 4)
         weights[("q0", "0", "1")] = F(3, 4)
-        report = validate_rules(replace(tm, rules=DischargeRuleSet(weights)))
+        report = validate_rules(replace(tm, rules=weights))
         assert not report.ok
         assert any("sum" in p for p in report.problems)
 
     def test_negative_weight_reported(self):
         tm = build_tm_ddfa()
-        weights = dict(tm.rules.weights)
+        weights = dict(tm.rules)
         weights[("q0", "0", "0")] = F(3, 2)
         weights[("q0", "0", "1")] = F(-1, 2)
-        report = validate_rules(replace(tm, rules=DischargeRuleSet(weights)))
+        report = validate_rules(replace(tm, rules=weights))
         assert not report.ok
         assert any("negative" in p for p in report.problems)
 
     def test_missing_weight_reported(self):
         tm = build_tm_ddfa()
-        weights = dict(tm.rules.weights)
+        weights = dict(tm.rules)
         del weights[("q1", "1", "1")]
-        report = validate_rules(replace(tm, rules=DischargeRuleSet(weights)))
+        report = validate_rules(replace(tm, rules=weights))
         assert not report.ok
 
 
@@ -187,12 +186,12 @@ class TestReducedForms:
         dfa = Automaton(("A", "B"), ("0", "1"),
                         {("A", "0"): "B", ("A", "1"): "A", ("B", "0"): "B", ("B", "1"): "B"},
                         "A")
-        rules = DischargeRuleSet({
+        rules = {
             ("A", "0", "0"): F(0), ("A", "0", "1"): F(1),
             ("A", "1", "1"): F(1, 2), ("A", "1", "0"): F(1, 2),
             ("B", "0", "0"): F(1, 2), ("B", "0", "1"): F(1, 2),
             ("B", "1", "1"): F(1, 2), ("B", "1", "0"): F(1, 2),
-        })
+        }
         auto = replace(dfa, rules=rules)
         assert validate_rules(auto).ok
         assert delta_c(auto, "A", "0") == ("B", 0)

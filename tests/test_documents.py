@@ -1,10 +1,19 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddfa.discharge import build_fr_ddfao, build_tm_ddfa, delta_c
+from ddfa.automata import to_dot
+from ddfa.discharge import (
+    build_fr_ddfao,
+    build_tm_ddfa,
+    delta_c,
+    equal_split_rules,
+    validate_rules,
+)
 from ddfa.documents import (
     AutomatonDocument,
     DocumentError,
@@ -16,7 +25,7 @@ from ddfa.documents import (
     serialize_spec_document,
 )
 from ddfa.regularity import verify_quasi_k_regular
-from ddfa.sequences import builtin_sequence, read_b_file
+from ddfa.sequences import builtin_sequence, charge_sequence, read_b_file
 
 from conftest import random_ddfa
 
@@ -118,6 +127,33 @@ class TestParseDocument:
         obj["valuation"] = {"q9": "1"}
         with pytest.raises(DocumentError, match="unknown state"):
             parse_document(json.dumps(obj))
+
+
+class TestRulesMapping:
+    """``Automaton.rules`` is the weight mapping itself, read through ``[(q, s, t)]``."""
+
+    @pytest.mark.parametrize("name", ["tm_ddfa.json", "fr_ddfao.json"])
+    def test_parsed_rules_are_a_plain_dict(self, name):
+        auto = parse_document(corpus_text(name)).automaton
+        assert type(auto.rules) is dict
+        assert auto.rules == equal_split_rules(replace(auto, rules=None))
+
+    @pytest.mark.parametrize("name", ["tm_ddfa.json", "fr_ddfao.json"])
+    def test_any_read_only_mapping_runs_the_same(self, name):
+        doc = parse_document(corpus_text(name))
+        auto = doc.automaton
+        proxied = replace(auto, rules=MappingProxyType(dict(auto.rules)))
+        assert type(proxied.rules) is MappingProxyType
+        for word in ("", "1", "1010", "110100111"):
+            assert delta_c(proxied, auto.start, word) == delta_c(auto, auto.start, word)
+        for form in ("charge", "numerator") + (("reduced",) if doc.valuation else ()):
+            expected = charge_sequence(auto, form, doc.valuation)
+            got = charge_sequence(proxied, form, doc.valuation)
+            assert [got(n) for n in range(200)] == [expected(n) for n in range(200)]
+        assert validate_rules(proxied).ok
+        assert to_dot(proxied) == to_dot(auto)
+        assert (serialize_document(AutomatonDocument(proxied, doc.valuation))
+                == serialize_document(doc) == corpus_text(name))
 
 
 class TestRoundTrip:

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import ddfa.sequences
 from ddfa.automata import base_k_word, build_tm_dfa, build_tm_dfao, dfao_output
 from ddfa.discharge import (
-    DischargeRuleSet,
     build_fr_ddfao,
     build_tm_ddfa,
     delta_c,
@@ -447,7 +446,7 @@ class TestChargeSequences:
             build_tm_ddfa(),
             alphabet=("0",),
             transition={("q0", "0"): "q0", ("q1", "0"): "q1"},
-            rules=DischargeRuleSet({(q, "0", "0"): F(1) for q in ("q0", "q1")}),
+            rules={(q, "0", "0"): F(1) for q in ("q0", "q1")},
         )
         for make in (charge_sequence,
                      lambda auto: charge_sequence(auto, "reduced", {"q0": F(1), "q1": F(1)})):
@@ -611,7 +610,7 @@ class TestChargeListing:
         for _ in range(25):
             auto = random_base_k_ddfa(rng, base)
             valuation = random_valuation(rng, auto)
-            weights = auto.rules.weights
+            weights = auto.rules
             for q in auto.states:
                 for s in auto.alphabet:
                     target = auto.transition[(q, s)]
