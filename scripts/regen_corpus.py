@@ -140,6 +140,7 @@ def main() -> int:
         "tcal.search.E2L3C1.txt": (
             "search", "--seq", "tcal", "--E", "2", "--level", "3",
             "--coeff-bound", "1", "--max", "200"),
+        "conjecture.N256.txt": ("verify", "--conjecture", "scaled-charges", "--max", "256"),
         **{f"{seq}.kernel.d8.txt": ("kernel", "--seq", seq, "--depth", "8")
            for seq in ("a", "b", "e", "t", "tcal", "a131271")},
     }

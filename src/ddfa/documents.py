@@ -58,11 +58,14 @@ def decimal_literal(text: str, where: str) -> int:
                             f"the limit of {sys.get_int_max_str_digits()} digits") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class _LongLiteral:
     """A JSON integer literal past the digit limit; the field that reads it refuses it."""
 
     text: str
+
+    def __repr__(self) -> str:  # for messages that echo a field's value
+        return f"an integer of {len(self.text.lstrip('-'))} digits"
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -125,7 +128,8 @@ def _name_list(value, where: str) -> tuple[str, ...]:
 
 def _name(value, where: str) -> str:
     if not isinstance(value, str):
-        raise DocumentError(f"{where}: expected a string, got {type(value).__name__}")
+        got = "int" if isinstance(value, _LongLiteral) else type(value).__name__
+        raise DocumentError(f"{where}: expected a string, got {got}")
     return value
 
 

@@ -77,12 +77,11 @@ class _DigitMemo(dict):
             value = self[m] = self.step(value, m)
         return value
 
-    def span(self, lo: int, hi: int, last: Callable[[object, int], object] | None = None
-             ) -> Iterator:
+    def span(self, lo: int, hi: int, last: Callable[[object, int], object]) -> Iterator:
         """``last(parent value, n)`` for lo <= n < hi in order, storing nothing.
 
-        ``last`` is ``step`` by default, which gives the values of the range.
-        The indices >= k of [lo, hi) have their parents in
+        ``last`` is ``step`` for the values of the range. The indices >= k
+        of [lo, hi) have their parents in
         [max(lo, k) // k, (hi - 1) // k + 1), and so on up to a range of
         one-digit words, whose parent is the empty word. Each ancestor level
         is one ``step`` per index from its parent's entry in the level
@@ -107,7 +106,7 @@ class _DigitMemo(dict):
         values, first = [], 0
         for lo, hi in reversed(ranges[1:]):
             values, first = list(level(values, first, lo, hi, self.step)), lo
-        return level(values, first, *ranges[0], last or self.step)
+        return level(values, first, *ranges[0], last)
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +131,13 @@ CHARGE_FORMS = ("charge", "numerator", "reduced")
 
 def _charge_runs(
     auto: Automaton, form: str, valuation: Mapping[str, Fraction] | None = None
-) -> tuple[
-    _DigitMemo,
-    Callable[[tuple[int, ...]], tuple[int, int]],
-    Callable[[tuple[int, ...], int], tuple[int, int]],
-]:
-    """A snapshot memo of the runs on the base-k words, their value in ints, and a leaf.
+) -> tuple[_DigitMemo, Callable[[tuple[int, ...], int], tuple[int, int]]]:
+    """A snapshot memo of the runs on the base-k words, and the leaf that values a run.
 
     ``form`` is one of ``CHARGE_FORMS``: "charge" values the final charge
     and ignores the valuation, "reduced" needs one, and "numerator" values
     the reduced value with a valuation and the charge without; a numerator
-    reader keeps the first int of ``value``.
+    reader keeps the first int of ``leaf``.
 
     A snapshot (state index, word length L, charges...) of the run on the
     word of n equals ``delta_c(auto, auto.start, base_k_word(n, k))`` with
@@ -151,15 +146,14 @@ def _charge_runs(
     int tuples, so the store holds no Fraction and no cycle, and a racing
     write stores an equal tuple.
 
-    ``value(snapshot)`` is (numerator, denominator) in lowest terms, one
+    ``leaf(parent snapshot, n)`` values the run on the word of n, one step
+    past its parent's, as (numerator, denominator) in lowest terms, one
     gcd: the final charge, or with a valuation the reduced value
     ``reduce_charge(valuation, state, charge)``, which is 0 for an unvalued
     final state with zero charge and a ``ValueError`` for one with any other.
-
-    ``leaf(parent snapshot, n)`` equals ``value(step(parent snapshot, n))``
-    without building the snapshot of n: the final charge is the moving
-    charge times the D-scaled weights into the next state, plus D times
-    the next state's own charge when it is not the current one.
+    It builds no snapshot of n: the final charge is the moving charge times
+    the D-scaled weights into the next state, plus D times the next state's
+    own charge when it is not the current one.
     """
     if form not in CHARGE_FORMS:
         raise ValueError(f"unknown form {form!r}; expected charge, reduced or numerator")
@@ -203,18 +197,6 @@ def _charge_runs(
     values = tuple((valued[q].numerator, valued[q].denominator) if q in valued else None
                    for q in states)
 
-    def value(snapshot: tuple[int, ...]) -> tuple[int, int]:
-        state = snapshot[0]
-        charge = snapshot[2 + state]
-        if values[state] is None:
-            if charge:
-                raise ValueError(f"state {states[state]} has no assigned value")
-            return 0, 1
-        p, q = values[state]
-        numerator, denominator = p * charge, q * scale ** snapshot[1]
-        common = gcd(numerator, denominator)
-        return numerator // common, denominator // common
-
     # landing[state][digit] = (next state, D * the weights into it, its (p, q) or None)
     landing = tuple(
         tuple(
@@ -247,7 +229,7 @@ def _charge_runs(
         return numerator // common, denominator // common
 
     root = (index[auto.start], 0, *(int(q == auto.start) for q in states))
-    return _DigitMemo(base, root, step), value, leaf
+    return _DigitMemo(base, root, step), leaf
 
 
 def charge_sequence(
@@ -257,12 +239,15 @@ def charge_sequence(
 
     A Fraction for "charge" and "reduced", an int for "numerator". A final
     state the valuation leaves out gives 0 where its charge is 0 and a
-    ``ValueError`` where it is not.
+    ``ValueError`` where it is not. Each term is ``leaf`` of its parent's
+    snapshot, the memo's root for n < k, so the memo holds parents only.
     """
-    store, value, _ = _charge_runs(auto, form, valuation)
+    store, leaf = _charge_runs(auto, form, valuation)
+    k, root = store.k, store.root
+    # store[n] of a negative n raises the memo's "n must be nonnegative"
     if form == "numerator":
-        return lambda n: value(store[n])[0]
-    return lambda n: Fraction(*value(store[n]))
+        return lambda n: leaf(store[n // k] if n >= k else root if n >= 0 else store[n], n)[0]
+    return lambda n: Fraction(*leaf(store[n // k] if n >= k else root if n >= 0 else store[n], n))
 
 
 def charge_b_file_text(
@@ -279,7 +264,7 @@ def charge_b_file_text(
     (``_DigitMemo.span``), each term is valued straight from its parent's
     snapshot by the runs' ``leaf`` and formatted from its ints.
     """
-    store, _, leaf = _charge_runs(auto, form, valuation)
+    store, leaf = _charge_runs(auto, form, valuation)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     terms = zip(range(offset, offset + count), store.span(offset, offset + count, leaf))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,21 @@ from fractions import Fraction
 import pytest
 
 from ddfa.automata import Automaton
+
+LONG = "1" * 4301  # one digit past CPython's default int <- str limit
+
+
+def with_raw_json(obj, path, raw: str) -> str:
+    """The JSON text of ``obj`` with the value at ``path`` (keys and list
+    indices; () is the root) replaced by the JSON text ``raw``."""
+    if not path:
+        return raw
+    obj = json.loads(json.dumps(obj))
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = "RAW"
+    return json.dumps(obj).replace('"RAW"', raw)
 
 
 def random_dfa(rng: random.Random, max_states: int = 6, max_symbols: int = 4) -> Automaton:

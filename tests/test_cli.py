@@ -13,7 +13,7 @@ from ddfa.discharge import delta_c
 from ddfa.documents import AutomatonDocument, corpus_path, parse_document, serialize_document
 from ddfa.sequences import b_file_text, charge_sequence
 
-from conftest import random_ddfa, random_valuation
+from conftest import LONG, random_ddfa, random_valuation, with_raw_json
 
 TM = str(corpus_path("tm_ddfa.json"))
 FR = str(corpus_path("fr_ddfao.json"))
@@ -40,6 +40,7 @@ GOLDEN_COMMANDS = {
     "tcal.search.E2L3C1.txt": [
         "search", "--seq", "tcal", "--E", "2", "--level", "3", "--coeff-bound", "1",
         "--max", "200"],
+    "conjecture.N256.txt": ["verify", "--conjecture", "scaled-charges", "--max", "256"],
     **{f"{seq}.kernel.d8.txt": ["kernel", "--seq", seq, "--depth", "8"]
        for seq in ("a", "b", "e", "t", "tcal", "a131271")},
 }
@@ -525,14 +526,10 @@ class TestKernel:
         assert "line 3: duplicate index 1" in err
 
 
-LONG = "1" * 4301  # one digit past CPython's default int <- str limit
-
-
 def _with_field(corpus_name: str, field: str, raw: str) -> str:
     """A corpus document with ``field`` set to the JSON text ``raw``."""
-    obj = json.loads(corpus_path(corpus_name).read_text(encoding="utf-8"))
-    obj[field] = "RAW"
-    return json.dumps(obj).replace('"RAW"', raw)
+    return with_raw_json(json.loads(corpus_path(corpus_name).read_text(encoding="utf-8")),
+                         [field], raw)
 
 
 LONG_LITERALS = {  # case -> (input file text, argv reading it, field or line named)
@@ -557,6 +554,43 @@ def test_long_literal_exit_two_naming_field_or_line(capsys, tmp_path, monkeypatc
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith(f"error: {where}: a literal of 4301 digits is over the limit of ")
+
+
+def json_paths(value, path=()):
+    """Every path into a JSON value, the root's () included."""
+    yield path
+    items = enumerate(value) if isinstance(value, list) else (
+        value.items() if isinstance(value, dict) else ())
+    for key, inner in items:
+        yield from json_paths(inner, (*path, key))
+
+
+HOSTILE_VALUES = ["null", "true", "1.5", "-1", str(10**30), "[]", "{}", '"1/0"', LONG]
+HOSTILE_COMMANDS = [["validate", "doc"], ["run", "doc", "1010"],
+                    ["sequence", "doc", "--count", "8"], ["dot", "doc"]]
+
+
+def test_seeded_hostile_documents_keep_the_exit_contract(capsys, tmp_path, monkeypatch):
+    # every path of the corpus automaton documents set to each hostile value,
+    # a seeded sample of them through each command: exit 0 or 1 writes no
+    # stderr, exit 2 one "error: " line that names no private type
+    documents = {name: json.loads(corpus_path(name).read_text(encoding="utf-8"))
+                 for name in ("tm_ddfa.json", "fr_ddfao.json", "tm_dfao.json")}
+    cases = [(name, path, raw, argv) for name, obj in documents.items()
+             for path in json_paths(obj) for raw in HOSTILE_VALUES for argv in HOSTILE_COMMANDS]
+    monkeypatch.chdir(tmp_path)
+    codes = set()
+    for i, (name, path, raw, argv) in enumerate(random.Random(0x4057).sample(cases, 500)):
+        text = with_raw_json(documents[name], path, raw)
+        (tmp_path / f"case{i}").write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, *[f"case{i}" if a == "doc" else a for a in argv])
+        codes.add(code)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, path, raw, argv)
+            assert "_LongLiteral" not in err
+        else:
+            assert code in (0, 1) and err == "", (name, path, raw, argv, code, err)
+    assert codes == {0, 1, 2}
 
 
 class TestWorkLimit:

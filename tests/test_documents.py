@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from types import MappingProxyType
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddfa.automata import to_dot
+from ddfa.cli import main
 from ddfa.discharge import (
     build_fr_ddfao,
     build_tm_ddfa,
@@ -27,7 +29,7 @@ from ddfa.documents import (
 from ddfa.regularity import verify_quasi_k_regular
 from ddfa.sequences import builtin_sequence, charge_sequence, read_b_file
 
-from conftest import random_ddfa
+from conftest import LONG, random_ddfa, with_raw_json
 
 F = Fraction
 
@@ -127,6 +129,39 @@ class TestParseDocument:
         obj["valuation"] = {"q9": "1"}
         with pytest.raises(DocumentError, match="unknown state"):
             parse_document(json.dumps(obj))
+
+
+KINDS = "('dfa', 'dfao', 'ddfa', 'ddfao')"
+LONG_NAME_FIELDS = {  # field -> (corpus document, path to it, message)
+    "start": ("tm_ddfa.json", ["start"], "start: expected a string, got int"),
+    **{f"transitions[1].{key}": ("tm_ddfa.json", ["transitions", 1, key],
+                                 f"transitions[1].{key}: expected a string, got int")
+       for key in ("from", "symbol", "to")},
+    "automaton kind": ("fr_ddfao.json", ["kind"],
+                       f"kind must be one of {KINDS}, got an integer of 4301 digits"),
+    "spec kind": ("e_quasi_spec.json", ["kind"],
+                  "kind must be 'quasi-spec', got an integer of 4301 digits"),
+}
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4301,
+                    reason="no int <- str digit limit below 4301 digits")
+@pytest.mark.parametrize("field", LONG_NAME_FIELDS)
+def test_long_integer_where_a_name_is_expected_is_called_an_integer(
+        capsys, tmp_path, monkeypatch, field):
+    # a bare JSON integer past the digit limit, where a string is read
+    name, path, message = LONG_NAME_FIELDS[field]
+    text = with_raw_json(json.loads(corpus_text(name)), path, LONG)
+    parse = parse_spec_document if name.endswith("_spec.json") else parse_document
+    with pytest.raises(ValueError) as refused:
+        parse(text)
+    assert str(refused.value) == message
+    (tmp_path / "input").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--seq", "e", "--spec", "input"] if parse is parse_spec_document else [
+        "validate", "input"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestRulesMapping:

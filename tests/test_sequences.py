@@ -2,7 +2,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +12,7 @@ from ddfa.automata import base_k_word, build_tm_dfa, build_tm_dfao, dfao_output
 from ddfa.discharge import (
     build_fr_ddfao,
     build_tm_ddfa,
+    charge_step,
     delta_c,
     reduce_charge,
 )
@@ -102,6 +103,15 @@ def tcal_reference(n: int) -> int:
     if n % 2 or half_is_prime:
         return 1 - tcal_reference(half)
     return tcal_reference(half)
+
+
+def ancestors(indices, base: int) -> set[int]:
+    """The parents of the indices >= base, their parents, and so on up."""
+    found, level = set(), {n // base for n in indices if n >= base}
+    while level - found:
+        found |= level
+        level = {n // base for n in level if n >= base}
+    return found
 
 
 def random_base_k_ddfa(rng: random.Random, base: int):
@@ -391,12 +401,18 @@ class TestDigitMemo:
 
     @pytest.mark.parametrize("name", ["b", "tcal", "t", "tm_ddfa", "fr_ddfao"])
     def test_one_step_per_index_in_shuffled_order(self, name, memo_steps):
+        # a builtin memo steps each index read; a charge memo steps only its
+        # parents, 2**11 - 1 of them, and a read term is never stepped again
         clear_builtin_memos()
         read, oracle = self._read_and_oracle(name)
         indices = list(range(2**12))
         random.Random(0xD161).shuffle(indices)
         assert [read(n) for n in indices] == [oracle(n) for n in indices]
-        assert len(memo_steps) == 2**12
+        assert [read(n) for n in indices[:100]] == [oracle(n) for n in indices[:100]]
+        if name in ("b", "tcal", "t"):
+            assert sorted(memo_steps) == list(range(2**12))
+        else:
+            assert sorted(memo_steps) == sorted(ancestors(indices, 2)) == list(range(1, 2**11))
 
     @pytest.mark.parametrize("name", ["b", "tcal", "t"])
     def test_span_equals_oracle_and_stores_nothing(self, name):
@@ -407,13 +423,14 @@ class TestDigitMemo:
         windows = [range(0, 300), range(1, 2), range(5, 6), range(4096, 4096 + 513)]
         huge = range(2**1200, 2**1200 + 9)  # past the depth the recursive oracles reach
         value = ddfa.sequences._TM_OUTPUTS.get if name == "t" else int  # t's memo holds states
-        spans = [list(map(value, memo.span(w.start, w.stop))) for w in [*windows, huge]]
+        spans = [list(map(value, memo.span(w.start, w.stop, memo.step)))
+                 for w in [*windows, huge]]
         assert not memo
         assert spans == [[oracle(n) for n in w] for w in windows] + [[read(n) for n in huge]]
 
     def test_span_refuses_negative_start(self):
         with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
-            ddfa.sequences._tcal.span(-1, 3)
+            ddfa.sequences._tcal.span(-1, 3, ddfa.sequences._tcal.step)
 
 
 class TestChargeSequences:
@@ -454,18 +471,19 @@ class TestChargeSequences:
                 make(one_digit)
 
     def test_final_charge_runs_once_per_index(self, memo_steps):
+        # one step per parent of the indices read, 1..7, and none on a second read
         seq = charge_sequence(build_tm_ddfa())
         assert [seq(n) for n in range(15)] == A_PREFIX
         assert [seq(n) for n in range(15)] == A_PREFIX
         assert seq(7) == A_PREFIX[7]
-        assert len(memo_steps) == 15
+        assert sorted(memo_steps) == sorted(ancestors(range(15), 2)) == list(range(1, 8))
 
     def test_reduced_value_runs_once_per_index(self, memo_steps):
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
         seq = charge_sequence(build_fr_ddfao(), "reduced", valuation)
         assert [seq(n) for n in range(17)] == D_PREFIX
         assert [seq(n) for n in range(17)] == D_PREFIX
-        assert len(memo_steps) == 17
+        assert sorted(memo_steps) == sorted(ancestors(range(17), 2)) == list(range(1, 9))
 
     def test_terms_equal_delta_c_in_any_order(self):
         # the integer engine against the definition, on random automata and
@@ -517,7 +535,7 @@ class TestChargeSequences:
             for _ in range(2):
                 seq = scaled_charge_sequence("tm_ddfa")
                 assert [seq(n) for n in range(25)] == B_PREFIX
-            assert len(memo_steps) == 25
+            assert sorted(memo_steps) == sorted(ancestors(range(25), 2)) == list(range(1, 13))
         finally:
             scaled_charge_sequence.cache_clear()  # drop the memo with the counting step
 
@@ -586,7 +604,7 @@ class TestChargeListing:
         # the ancestor ranges are stepped, the range itself is valued by the leaf
         valued, span = [], ddfa.sequences._DigitMemo.span
 
-        def counted_span(memo, lo, hi, last=None):
+        def counted_span(memo, lo, hi, last):
             def counting(parent, n):
                 valued.append(n)
                 return last(parent, n)
@@ -604,13 +622,16 @@ class TestChargeListing:
         assert memo_steps.memos and not any(memo_steps.memos)
 
     @pytest.mark.parametrize("base", [2, 3, 4])
-    def test_leaf_equals_value_of_step(self, base):
+    def test_leaf_equals_one_charge_step(self, base):
+        # a parent snapshot (state, L, charges) is the vector charges / D**L;
+        # the leaf is one charge_step of it, reduced or read as the form says
         rng = random.Random(0x1EAF + base)
         seen = set()
         for _ in range(25):
             auto = random_base_k_ddfa(rng, base)
             valuation = random_valuation(rng, auto)
             weights = auto.rules
+            scale = lcm(*(w.denominator for w in weights.values()))
             for q in auto.states:
                 for s in auto.alphabet:
                     target = auto.transition[(q, s)]
@@ -624,15 +645,23 @@ class TestChargeListing:
             for form in CHARGE_FORMS:
                 if form == "reduced" and not valuation:
                     continue
-                store, value, leaf = ddfa.sequences._charge_runs(auto, form, valuation)
-                for state in range(len(auto.states)):
+                _, leaf = ddfa.sequences._charge_runs(auto, form, valuation)
+                for state, current in enumerate(auto.states):
                     for length in (0, 1, 5, 70):
                         charges = [rng.choice([0, 0, 1, rng.randrange(2**80)]) for _ in auto.states]
-                        parent = (state, length, *charges)
+                        vector = {p: F(c, scale**length) for p, c in zip(auto.states, charges)}
                         for digit in range(base):
                             n = rng.randrange(2**length) * base + digit
-                            assert self.outcome(lambda: leaf(parent, n)) == self.outcome(
-                                lambda: value(store.step(parent, n)))
+                            final, after = charge_step(auto, current, vector, str(digit))
+                            value = reduce_charge(
+                                None if form == "charge" else valuation, final, after[final])
+                            if form == "charge" or value.is_numeric:
+                                value = after[final] if form == "charge" else value.value
+                                expected = (value.numerator, value.denominator)
+                            else:
+                                expected = f"ValueError: state {final} has no assigned value"
+                            assert self.outcome(
+                                lambda: leaf((state, length, *charges), n)) == expected
         assert seen == {"self-loop", "edges into one target", "zero weight"}
 
     @pytest.mark.parametrize("base", [2, 3, 4])
@@ -646,6 +675,12 @@ class TestChargeListing:
                     return read, n, str(exc)
             return read, None, None
 
+        def oracle(n):  # the definition, on Fractions
+            reduced = reduce_charge(valuation, *delta_c(auto, auto.start, base_k_word(n, base)))
+            if not reduced.is_numeric:
+                raise ValueError(f"state {reduced.state} has no assigned value")
+            return reduced.value
+
         rng = random.Random(0xFA11 + base)
         outcomes = set()
         for _ in range(12):
@@ -653,11 +688,16 @@ class TestChargeListing:
             valuation = random_valuation(rng, auto)
             for offset in (0, base - 1, 2**70 + 5, 2**1200):
                 window = range(offset, offset + 2 * base**2 + 3)
-                store, _, leaf = ddfa.sequences._charge_runs(auto, "reduced", valuation)
+                store, leaf = ddfa.sequences._charge_runs(auto, "reduced", valuation)
                 listed = first_failure(
                     (F(p, q) for p, q in store.span(window.start, window.stop, leaf)), window)
                 read = first_failure(map(charge_sequence(auto, "reduced", valuation), window), window)
                 assert listed == read
+                if offset < 2**1200:
+                    assert first_failure(map(oracle, window), window) == read
+                elif read[1] is not None:  # 1201-digit words: the failing index alone
+                    with pytest.raises(ValueError, match=f"^{re.escape(read[2])}$"):
+                        oracle(read[1])
                 outcomes.add(read[1] is None)
         assert outcomes == {True, False}
 
@@ -695,8 +735,11 @@ class TestSequenceWrapper:
     ], ids=[*BUILTIN_SEQUENCE_NAMES, "final-charge", "reduced-value", "numerators", "b-file"])
     def test_negative_index_refused(self, make):
         # a sequence is its term function; each producer refuses n < 0 itself
-        with pytest.raises(ValueError):
-            make()(-1)
+        # and names n, a charge sequence also at and below -k, where n // k < 0
+        seq = make()
+        for n in (-1, -2, -5, -2**70):
+            with pytest.raises(ValueError, match=rf" {n}\b"):
+                seq(n)
 
     def test_unknown_builtin_rejected(self):
         with pytest.raises(ValueError, match="unknown builtin"):
