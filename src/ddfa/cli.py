@@ -24,7 +24,6 @@ from .documents import (
 from .regularity import (
     WORK_LIMIT,
     Sequence,
-    SpecError,
     describe_combination,
     search_relation_menus,
     k_kernel,
@@ -320,7 +319,7 @@ def main(argv=None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except (DocumentError, SpecError, ValueError) as exc:
+    except ValueError as exc:  # DocumentError and SpecError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:  # the reader closed early, as in `| head -1`

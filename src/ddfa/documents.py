@@ -113,11 +113,16 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
         raise DocumentError(f"{where}: missing field(s) {sorted(missing)}")
 
 
+def _shaped(value, kind: type, where: str):
+    """``value`` if it is a ``kind`` (``dict`` or ``list``), else a DocumentError."""
+    if not isinstance(value, kind):
+        raise DocumentError(f"{where}: expected {'an object' if kind is dict else 'a list'}")
+    return value
+
+
 def _object(value, where: str, fields: set[str]) -> None:
     """Refuse ``value`` unless it is a dict holding exactly ``fields``."""
-    if not isinstance(value, dict):
-        raise DocumentError(f"{where}: expected an object")
-    _check_keys(value, fields, fields, where)
+    _check_keys(_shaped(value, dict, where), fields, fields, where)
 
 
 def _name_list(value, where: str) -> tuple[str, ...]:
@@ -157,15 +162,19 @@ def _json_int(text: str):
         return _LongLiteral(text)
 
 
-def _load_json(text: str):
+def _load_json(text: str) -> dict:
+    """The root object of a JSON document."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
+        obj = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     except RecursionError:
         raise DocumentError("document nests too deeply") from None
+    if not isinstance(obj, dict):
+        raise DocumentError("document root must be an object")
+    return obj
 
 
 def parse_document(text: str, check: bool = True) -> AutomatonDocument:
@@ -177,30 +186,23 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
     automata, so the validate command can report their problems.
     """
     obj = _load_json(text)
-    if not isinstance(obj, dict):
-        raise DocumentError("document root must be an object")
     kind = obj.get("kind")
     if kind not in AUTOMATON_KINDS:
         raise DocumentError(f"kind must be one of {AUTOMATON_KINDS}, got {kind!r}")
     with_output = kind in ("dfao", "ddfao")
     with_rules = kind in ("ddfa", "ddfao")
-    allowed = {"kind", "states", "alphabet", "start", "transitions", "valuation"}
     required = {"kind", "states", "alphabet", "start", "transitions"}
-    allowed |= {"output"} if with_output else {"accepting"}
-    required |= {"output"} if with_output else {"accepting"}
+    required.add("output" if with_output else "accepting")
     if with_rules:
-        allowed.add("discharge")
         required.add("discharge")
-    _check_keys(obj, allowed, required, "document")
+    _check_keys(obj, required | {"valuation"}, required, "document")
 
     states = _name_list(obj["states"], "states")
     alphabet = _name_list(obj["alphabet"], "alphabet")
     start = _name(obj["start"], "start")
 
-    if not isinstance(obj["transitions"], list):
-        raise DocumentError("transitions: expected a list")
     transition: dict[tuple[str, str], str] = {}
-    for i, entry in enumerate(obj["transitions"]):
+    for i, entry in enumerate(_shaped(obj["transitions"], list, "transitions")):
         where = f"transitions[{i}]"
         _object(entry, where, {"from", "symbol", "to"})
         key = (_name(entry["from"], f"{where}.from"),
@@ -211,11 +213,9 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
 
     rules: dict[tuple[str, str, str], Fraction] | None = None
     if with_rules:
-        if not isinstance(obj["discharge"], list):
-            raise DocumentError("discharge: expected a list")
         rules = {}
         seen_states: set[str] = set()
-        for i, entry in enumerate(obj["discharge"]):
+        for i, entry in enumerate(_shaped(obj["discharge"], list, "discharge")):
             where = f"discharge[{i}]"
             _object(entry, where, {"state", "current", "notCurrent"})
             q = _name(entry["state"], f"{where}.state")
@@ -224,16 +224,10 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
             if q in seen_states:
                 raise DocumentError(f"{where}: duplicate discharge entry for state {q}")
             seen_states.add(q)
-            if not isinstance(entry["current"], dict):
-                raise DocumentError(f"{where}.current: expected an object")
-            for s, w in entry["current"].items():
+            for s, w in _shaped(entry["current"], dict, f"{where}.current").items():
                 rules[(q, s, s)] = parse_rational(w, f"{where}.current[{s}]")
-            if not isinstance(entry["notCurrent"], dict):
-                raise DocumentError(f"{where}.notCurrent: expected an object")
-            for s, inner in entry["notCurrent"].items():
-                if not isinstance(inner, dict):
-                    raise DocumentError(f"{where}.notCurrent[{s}]: expected an object")
-                for t, w in inner.items():
+            for s, inner in _shaped(entry["notCurrent"], dict, f"{where}.notCurrent").items():
+                for t, w in _shaped(inner, dict, f"{where}.notCurrent[{s}]").items():
                     if t == s:
                         raise DocumentError(
                             f"{where}.notCurrent[{s}]: names the read symbol {s!r}, "
@@ -242,11 +236,8 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
                     rules[(q, s, t)] = parse_rational(w, f"{where}.notCurrent[{s}][{t}]")
 
     if with_output:
-        if not isinstance(obj["output"], dict):
-            raise DocumentError("output: expected an object mapping state to rational")
-        output = {
-            q: parse_rational(v, f"output[{q}]") for q, v in obj["output"].items()
-        }
+        output = {q: parse_rational(v, f"output[{q}]")
+                  for q, v in _shaped(obj["output"], dict, "output").items()}
         accepting = frozenset()
     else:
         output = None
@@ -266,10 +257,8 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
 
     valuation = None
     if "valuation" in obj:
-        if not isinstance(obj["valuation"], dict):
-            raise DocumentError("valuation: expected an object mapping state to rational")
         valuation = {}
-        for q, v in obj["valuation"].items():
+        for q, v in _shaped(obj["valuation"], dict, "valuation").items():
             if q not in states:
                 raise DocumentError(f"valuation: unknown state {q!r}")
             valuation[q] = parse_rational(v, f"valuation[{q}]")
@@ -323,33 +312,24 @@ SPEC_KIND = "quasi-spec"
 def parse_spec_document(text: str) -> QuasiRegularitySpec:
     """Parse and validate one relation-spec document."""
     obj = _load_json(text)
-    if not isinstance(obj, dict):
-        raise DocumentError("document root must be an object")
     if obj.get("kind") != SPEC_KIND:
         raise DocumentError(f"kind must be {SPEC_KIND!r}, got {obj.get('kind')!r}")
-    _check_keys(obj, {"kind", "k", "E", "m", "menus"}, {"kind", "k", "E", "m", "menus"},
-                "document")
+    _object(obj, "document", {"kind", "k", "E", "m", "menus"})
     k, E, m = (_integer(obj[name], name) for name in ("k", "E", "m"))
-    if not isinstance(obj["menus"], list):
-        raise DocumentError("menus: expected a list")
     menus: dict[tuple[int, int], RelationMenu] = {}
-    for i, entry in enumerate(obj["menus"]):
+    for i, entry in enumerate(_shaped(obj["menus"], list, "menus")):
         where = f"menus[{i}]"
         _object(entry, where, {"e", "r", "options"})
         e, r = _integer(entry["e"], f"{where}.e"), _integer(entry["r"], f"{where}.r")
         if (e, r) in menus:
             raise DocumentError(f"{where}: duplicate menu for level ({e}, {r})")
-        if not isinstance(entry["options"], list):
-            raise DocumentError(f"{where}.options: expected a list")
         options = []
-        for j, opt in enumerate(entry["options"]):
+        for j, opt in enumerate(_shaped(entry["options"], list, f"{where}.options")):
             owhere = f"{where}.options[{j}]"
             _object(opt, owhere, {"constant", "terms"})
             constant = _integer(opt["constant"], f"{owhere}.constant")
-            if not isinstance(opt["terms"], list):
-                raise DocumentError(f"{owhere}.terms: expected a list")
             terms = []
-            for t, term in enumerate(opt["terms"]):
+            for t, term in enumerate(_shaped(opt["terms"], list, f"{owhere}.terms")):
                 twhere = f"{owhere}.terms[{t}]"
                 _object(term, twhere, {"coeff", "f", "b"})
                 terms.append(RelationTerm(

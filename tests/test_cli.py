@@ -11,7 +11,7 @@ import ddfa
 from ddfa.cli import main
 from ddfa.discharge import delta_c
 from ddfa.documents import AutomatonDocument, corpus_path, parse_document, serialize_document
-from ddfa.sequences import b_file_text, charge_sequence
+from ddfa.sequences import b_file_text, builtin_sequence, charge_sequence
 
 from conftest import LONG, random_ddfa, random_valuation, with_raw_json
 
@@ -565,6 +565,17 @@ def json_paths(value, path=()):
         yield from json_paths(inner, (*path, key))
 
 
+def _exit_contract(capsys, argv, context):
+    """Run ``argv``: exit 0 or 1 writes no stderr, exit 2 one "error: " line."""
+    code, _, err = run_cli(capsys, *argv)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (context, err)
+        assert "_LongLiteral" not in err
+    else:
+        assert code in (0, 1) and err == "", (context, code, err)
+    return code
+
+
 HOSTILE_VALUES = ["null", "true", "1.5", "-1", str(10**30), "[]", "{}", '"1/0"', LONG]
 HOSTILE_COMMANDS = [["validate", "doc"], ["run", "doc", "1010"],
                     ["sequence", "doc", "--count", "8"], ["dot", "doc"]]
@@ -583,13 +594,67 @@ def test_seeded_hostile_documents_keep_the_exit_contract(capsys, tmp_path, monke
     for i, (name, path, raw, argv) in enumerate(random.Random(0x4057).sample(cases, 500)):
         text = with_raw_json(documents[name], path, raw)
         (tmp_path / f"case{i}").write_text(text, encoding="utf-8")
-        code, _, err = run_cli(capsys, *[f"case{i}" if a == "doc" else a for a in argv])
-        codes.add(code)
-        if code == 2:
-            assert err.startswith("error: ") and err.count("\n") == 1, (name, path, raw, argv)
-            assert "_LongLiteral" not in err
-        else:
-            assert code in (0, 1) and err == "", (name, path, raw, argv, code, err)
+        codes.add(_exit_contract(capsys, [f"case{i}" if a == "doc" else a for a in argv],
+                                 (name, path, raw, argv)))
+    assert codes == {0, 1, 2}
+
+
+SPEC_SEQUENCES = {"tcal_quasi_spec.json": "tcal", "e_quasi_spec.json": "e",
+                  "t_singleton_spec.json": "t"}
+
+
+def test_seeded_hostile_spec_documents_keep_the_exit_contract(capsys, tmp_path):
+    # every path of the corpus spec documents set to each hostile value, a
+    # seeded sample of them verified against the spec's builtin sequence
+    specs = {name: json.loads(corpus_path(name).read_text(encoding="utf-8"))
+             for name in SPEC_SEQUENCES}
+    cases = [(name, path, raw) for name, obj in specs.items()
+             for path in json_paths(obj) for raw in HOSTILE_VALUES]
+    codes = set()
+    for i, (name, path, raw) in enumerate(random.Random(0x5BEC).sample(cases, 300)):
+        case = tmp_path / f"case{i}"
+        case.write_text(with_raw_json(specs[name], path, raw), encoding="utf-8")
+        codes.add(_exit_contract(capsys, ["verify", "--seq", SPEC_SEQUENCES[name], "--spec",
+                                          str(case), "--max", "64", "--depth", "1"],
+                                 (name, path, raw)))
+    assert codes == {0, 1, 2}
+
+
+B_FILE_DEFECTS = {  # defect -> the lines that replace line "n value"
+    "none": lambda n, value: [f"{n} {value}"],
+    "gap": lambda n, value: [],
+    "repeated index": lambda n, value: [f"{n} {value}"] * 2,
+    "zero denominator": lambda n, value: [f"{n} 1/0"],
+    "decimal point": lambda n, value: [f"{n} 1.5"],
+    "non-ASCII index digit": lambda n, value: [f"{n}\u0663 {value}"],
+    "non-ASCII value digit": lambda n, value: [f"{n} {value}\uff15"],
+    "long value": lambda n, value: [f"{n} {LONG}"],
+}
+B_FILE_COMMANDS = [
+    ["verify", "--seq", "bfile", "--spec", str(corpus_path("tcal_quasi_spec.json")),
+     "--max", "32", "--depth", "1"],
+    ["search", "--seq", "bfile", "--E", "1", "--level", "2", "--max", "32"],
+    ["kernel", "--seq", "bfile", "--depth", "3", "--window", "16"],
+]
+
+
+def test_seeded_defective_b_files_keep_the_exit_contract(capsys, tmp_path):
+    # a valid listing of a builtin with one defect on one line, a seeded
+    # sample of them read by each command that takes a b-file
+    listings = {seq: b_file_text(builtin_sequence(seq), 160).splitlines()
+                for seq in ("tcal", "e", "t")}
+    cases = [(seq, line, defect, argv) for seq, lines in listings.items()
+             for line in range(len(lines)) for defect in B_FILE_DEFECTS
+             for argv in B_FILE_COMMANDS]
+    codes = set()
+    for i, (seq, line, defect, argv) in enumerate(random.Random(0xBF11E).sample(cases, 150)):
+        lines = listings[seq]
+        replaced = B_FILE_DEFECTS[defect](*lines[line].split())
+        case = tmp_path / f"case{i}"
+        case.write_text("\n".join(lines[:line] + replaced + lines[line + 1:]) + "\n",
+                        encoding="utf-8")
+        codes.add(_exit_contract(capsys, [str(case) if a == "bfile" else a for a in argv],
+                                 (seq, line, defect, argv)))
     assert codes == {0, 1, 2}
 
 

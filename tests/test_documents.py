@@ -164,6 +164,42 @@ def test_long_integer_where_a_name_is_expected_is_called_an_integer(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+CONTAINER_FIELDS = {  # where -> (corpus document, path, the container it must be)
+    "transitions": ("fr_ddfao.json", ["transitions"], "a list"),
+    "discharge": ("fr_ddfao.json", ["discharge"], "a list"),
+    "discharge[0].current": ("fr_ddfao.json", ["discharge", 0, "current"], "an object"),
+    "discharge[0].notCurrent": ("fr_ddfao.json", ["discharge", 0, "notCurrent"], "an object"),
+    "discharge[0].notCurrent[0]": ("fr_ddfao.json", ["discharge", 0, "notCurrent", "0"],
+                                   "an object"),
+    "output": ("fr_ddfao.json", ["output"], "an object"),
+    "valuation": ("fr_ddfao.json", ["valuation"], "an object"),
+    "menus": ("tcal_quasi_spec.json", ["menus"], "a list"),
+    "menus[0].options": ("tcal_quasi_spec.json", ["menus", 0, "options"], "a list"),
+    "menus[0].options[1].terms": ("tcal_quasi_spec.json",
+                                  ["menus", 0, "options", 1, "terms"], "a list"),
+}
+
+
+@pytest.mark.parametrize("raw", ["null", "0", '"x"', "the other container"])
+@pytest.mark.parametrize("where", CONTAINER_FIELDS)
+def test_wrong_container_type_names_its_field(where, raw):
+    name, path, container = CONTAINER_FIELDS[where]
+    if raw == "the other container":
+        raw = "{}" if container == "a list" else "[]"
+    parse = parse_spec_document if name.endswith("_spec.json") else parse_document
+    with pytest.raises(DocumentError) as refused:
+        parse(with_raw_json(json.loads(corpus_text(name)), path, raw))
+    assert str(refused.value) == f"{where}: expected {container}"
+
+
+@pytest.mark.parametrize("raw", ["null", "0", '"x"', "[]"])
+@pytest.mark.parametrize("parse", [parse_document, parse_spec_document])
+def test_document_root_must_be_an_object(parse, raw):
+    with pytest.raises(DocumentError) as refused:
+        parse(raw)
+    assert str(refused.value) == "document root must be an object"
+
+
 class TestRulesMapping:
     """``Automaton.rules`` is the weight mapping itself, read through ``[(q, s, t)]``."""
 
