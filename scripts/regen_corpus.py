@@ -10,11 +10,9 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from ddfa import (
-    AutomatonDocument,
     build_fr_ddfao,
     build_tm_ddfa,
     build_tm_dfao,
@@ -96,15 +94,12 @@ def main() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
 
     documents = {
-        "tm_ddfa.json": AutomatonDocument(build_tm_ddfa()),
-        "fr_ddfao.json": AutomatonDocument(
-            build_fr_ddfao(),
-            valuation={q: Fraction(1) for q in ("q0", "q1", "q2", "q3")},
-        ),
-        "tm_dfao.json": AutomatonDocument(build_tm_dfao()),
+        "tm_ddfa.json": build_tm_ddfa(),
+        "fr_ddfao.json": build_fr_ddfao(),
+        "tm_dfao.json": build_tm_dfao(),
     }
-    for name, doc in documents.items():
-        (CORPUS / name).write_text(serialize_document(doc), encoding="utf-8")
+    for name, auto in documents.items():
+        (CORPUS / name).write_text(serialize_document(auto), encoding="utf-8")
         print("wrote", CORPUS / name)
 
     specs = {

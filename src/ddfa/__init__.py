@@ -1,12 +1,12 @@
 """Exact-arithmetic toolkit for charge-discharging finite automata.
 
-The one ``Automaton`` type (a DFA, optionally with an output map and
-discharge rules, a mapping (state, read symbol, edge label) -> weight)
-lives in ``automata``; rule checks, charge runs and their reduced forms
-in ``discharge``; derived number sequences and their closed forms in
-``sequences``; menu-based relation verification, search, and kernel
-evidence in ``regularity``; the JSON file format in ``documents``; and the
-command line in ``cli``.
+The one ``Automaton`` type (a DFA, optionally with an output map,
+discharge rules, a mapping (state, read symbol, edge label) -> weight, and
+a valuation of its states) lives in ``automata``; rule checks, charge runs
+and their reduced forms in ``discharge``; derived number sequences and
+their closed forms in ``sequences``; menu-based relation verification,
+search, and kernel evidence in ``regularity``; the JSON file format in
+``documents``; and the command line in ``cli``.
 """
 
 from .automata import (
@@ -35,7 +35,6 @@ from .discharge import (
     validate_rules,
 )
 from .documents import (
-    AutomatonDocument,
     DocumentError,
     corpus_path,
     parse_document,

@@ -47,7 +47,8 @@ class Automaton:
     ``rules[(q, s, t)]`` is the share of the charge on state ``q`` that
     moves along the out-edge labeled ``t`` when symbol ``s`` is read in
     ``q``; ``t == s`` is the edge taken. There is one key per state and
-    pair of symbols.
+    pair of symbols. A ``valuation`` gives some or all states a rational
+    value, against which a final charge reduces (``reduce_charge``).
     """
 
     states: tuple[str, ...]
@@ -57,6 +58,7 @@ class Automaton:
     accepting: frozenset[str] = frozenset()
     output: Mapping[str, Fraction] | None = None
     rules: Mapping[tuple[str, str, str], Fraction] | None = None
+    valuation: Mapping[str, Fraction] | None = None
 
     @property
     def kind(self) -> str:

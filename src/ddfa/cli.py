@@ -92,7 +92,7 @@ def _format_vector(states, vector) -> str:
 
 
 def cmd_validate(args) -> int:
-    auto = parse_document(_read(args.document), check=False).automaton
+    auto = parse_document(_read(args.document), check=False)
     report = validate_dfa(auto)
     print(report)
     ok = report.ok
@@ -104,8 +104,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    doc = parse_document(_read(args.document))
-    auto = doc.automaton
+    auto = parse_document(_read(args.document))
     word = parse_word(auto.alphabet, args.word)
     if auto.rules is None:
         state = delta_star(auto, auto.start, word)
@@ -120,14 +119,13 @@ def cmd_run(args) -> int:
         state, vector = snapshots[-1]
         charge = vector[state]
         print(f"{state} {charge}")
-        if doc.valuation is not None:
-            print(f"reduced {reduce_charge(doc.valuation, state, charge)}")
+        if auto.valuation is not None:
+            print(f"reduced {reduce_charge(auto.valuation, state, charge)}")
     return EXIT_OK
 
 
 def cmd_sequence(args) -> int:
-    doc = parse_document(_read(args.document))
-    auto = doc.automaton
+    auto = parse_document(_read(args.document))
     if auto.rules is None:
         raise DocumentError("sequence generation needs a discharging automaton (ddfa/ddfao)")
     if args.count < 1:
@@ -136,7 +134,7 @@ def cmd_sequence(args) -> int:
         raise DocumentError(f"--count {args.count} is over the limit of {WORK_LIMIT} terms")
     if args.offset < 0:
         raise DocumentError(f"--offset must be >= 0, got {args.offset}")
-    text = charge_b_file_text(auto, args.form, args.count, args.offset, doc.valuation)
+    text = charge_b_file_text(auto, args.form, args.count, args.offset)
     if args.bfile:
         _write(args.bfile, text)
     sys.stdout.write(text)
@@ -144,8 +142,7 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    doc = parse_document(_read(args.document))
-    sys.stdout.write(to_dot(doc.automaton))
+    sys.stdout.write(to_dot(parse_document(_read(args.document))))
     return EXIT_OK
 
 

@@ -157,7 +157,7 @@ def build_fr_ddfao() -> Automaton:
     """The 4-state binary automaton (power-of-two detector) with all weights 1/2.
 
     Output is the characteristic function of the state reached exactly by
-    expansions of 2^j with j >= 1.
+    expansions of 2^j with j >= 1; every state is valued 1.
     """
     base = Automaton(
         states=("q0", "q1", "q2", "q3"),
@@ -179,5 +179,6 @@ def build_fr_ddfao() -> Automaton:
             "q2": Fraction(0),
             "q3": Fraction(1),
         },
+        valuation=dict.fromkeys(("q0", "q1", "q2", "q3"), ONE),
     )
     return replace(base, rules=equal_split_rules(base))

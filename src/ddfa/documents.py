@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,14 +96,6 @@ def parse_rational(value, where: str) -> Fraction:
     raise DocumentError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class AutomatonDocument:
-    """A parsed, fully validated automaton file."""
-
-    automaton: Automaton
-    valuation: dict[str, Fraction] | None = None
-
-
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
@@ -177,8 +169,8 @@ def _load_json(text: str) -> dict:
     return obj
 
 
-def parse_document(text: str, check: bool = True) -> AutomatonDocument:
-    """Parse one automaton document.
+def parse_document(text: str, check: bool = True) -> Automaton:
+    """Parse one automaton document, its optional valuation included.
 
     With ``check`` (the default), automaton and rule invariants are
     enforced and violations raise DocumentError; ``check=False`` still
@@ -255,20 +247,18 @@ def parse_document(text: str, check: bool = True) -> AutomatonDocument:
                     "invalid discharge rules: " + "; ".join(rule_report.problems)
                 )
 
-    valuation = None
-    if "valuation" in obj:
-        valuation = {}
-        for q, v in _shaped(obj["valuation"], dict, "valuation").items():
-            if q not in states:
-                raise DocumentError(f"valuation: unknown state {q!r}")
-            valuation[q] = parse_rational(v, f"valuation[{q}]")
+    if "valuation" not in obj:
+        return automaton
+    valuation = {}
+    for q, v in _shaped(obj["valuation"], dict, "valuation").items():
+        if q not in states:
+            raise DocumentError(f"valuation: unknown state {q!r}")
+        valuation[q] = parse_rational(v, f"valuation[{q}]")
+    return replace(automaton, valuation=valuation)
 
-    return AutomatonDocument(automaton, valuation)
 
-
-def serialize_document(doc: AutomatonDocument) -> str:
+def serialize_document(auto: Automaton) -> str:
     """Canonical text for an automaton document (stable bytes)."""
-    auto = doc.automaton
     obj: dict = {
         "kind": auto.kind,
         "states": list(auto.states),
@@ -296,10 +286,8 @@ def serialize_document(doc: AutomatonDocument) -> str:
             }
             for q in auto.states
         ]
-    if doc.valuation is not None:
-        obj["valuation"] = {
-            q: str(doc.valuation[q]) for q in auto.states if q in doc.valuation
-        }
+    if auto.valuation is not None:
+        obj["valuation"] = {q: str(auto.valuation[q]) for q in auto.states if q in auto.valuation}
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -16,7 +16,7 @@ names used by the command line are:
 Any discharging automaton over the digits "0", ..., "k-1" gives a charge
 sequence in three forms (``CHARGE_FORMS``), read by ``charge_sequence`` and
 listed by ``charge_b_file_text``: "charge", the final charge of the run on
-the base-k word of n; "reduced", its value under a valuation of the states;
+the base-k word of n; "reduced", its value under the automaton's valuation;
 and "numerator", the numerator of the reduced value, or of the charge when
 there is no valuation.
 
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, islice, repeat
 from math import gcd, lcm
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from .automata import Automaton, build_tm_dfao
 from .discharge import build_fr_ddfao, build_tm_ddfa
@@ -130,14 +130,14 @@ CHARGE_FORMS = ("charge", "numerator", "reduced")
 
 
 def _charge_runs(
-    auto: Automaton, form: str, valuation: Mapping[str, Fraction] | None = None
+    auto: Automaton, form: str
 ) -> tuple[_DigitMemo, Callable[[tuple[int, ...], int], tuple[int, int]]]:
     """A snapshot memo of the runs on the base-k words, and the leaf that values a run.
 
     ``form`` is one of ``CHARGE_FORMS``: "charge" values the final charge
-    and ignores the valuation, "reduced" needs one, and "numerator" values
-    the reduced value with a valuation and the charge without; a numerator
-    reader keeps the first int of ``leaf``.
+    and ignores ``auto.valuation``, "reduced" needs one, and "numerator"
+    values the reduced value with a valuation and the charge without; a
+    numerator reader keeps the first int of ``leaf``.
 
     A snapshot (state index, word length L, charges...) of the run on the
     word of n equals ``delta_c(auto, auto.start, base_k_word(n, k))`` with
@@ -149,7 +149,7 @@ def _charge_runs(
     ``leaf(parent snapshot, n)`` values the run on the word of n, one step
     past its parent's, as (numerator, denominator) in lowest terms, one
     gcd: the final charge, or with a valuation the reduced value
-    ``reduce_charge(valuation, state, charge)``, which is 0 for an unvalued
+    ``reduce_charge(auto.valuation, state, charge)``, which is 0 for an unvalued
     final state with zero charge and a ``ValueError`` for one with any other.
     It builds no snapshot of n: the final charge is the moving charge times
     the D-scaled weights into the next state, plus D times the next state's
@@ -157,10 +157,9 @@ def _charge_runs(
     """
     if form not in CHARGE_FORMS:
         raise ValueError(f"unknown form {form!r}; expected charge, reduced or numerator")
+    valuation = None if form == "charge" else auto.valuation
     if form == "reduced" and valuation is None:
         raise ValueError("the reduced form needs a valuation")
-    if form == "charge":
-        valuation = None
     base = _digit_base(auto)
     states, alphabet, transition = auto.states, auto.alphabet, auto.transition
     weights = auto.rules
@@ -232,9 +231,7 @@ def _charge_runs(
     return _DigitMemo(base, root, step), leaf
 
 
-def charge_sequence(
-    auto: Automaton, form: str = "charge", valuation: Mapping[str, Fraction] | None = None
-) -> Sequence:
+def charge_sequence(auto: Automaton, form: str = "charge") -> Sequence:
     """The ``form`` of the run on the base-k expansion of each n, k = |alphabet|.
 
     A Fraction for "charge" and "reduced", an int for "numerator". A final
@@ -242,7 +239,7 @@ def charge_sequence(
     ``ValueError`` where it is not. Each term is ``leaf`` of its parent's
     snapshot, the memo's root for n < k, so the memo holds parents only.
     """
-    store, leaf = _charge_runs(auto, form, valuation)
+    store, leaf = _charge_runs(auto, form)
     k, root = store.k, store.root
     # store[n] of a negative n raises the memo's "n must be nonnegative"
     if form == "numerator":
@@ -250,21 +247,15 @@ def charge_sequence(
     return lambda n: Fraction(*leaf(store[n // k] if n >= k else root if n >= 0 else store[n], n))
 
 
-def charge_b_file_text(
-    auto: Automaton,
-    form: str,
-    count: int,
-    offset: int = 0,
-    valuation: Mapping[str, Fraction] | None = None,
-) -> str:
+def charge_b_file_text(auto: Automaton, form: str, count: int, offset: int = 0) -> str:
     """The b-file of terms offset <= n < offset + count of a charge sequence.
 
-    Equals ``b_file_text(charge_sequence(auto, form, valuation), count,
-    offset)``, but the ancestors of the range are stepped a level at a time
+    Equals ``b_file_text(charge_sequence(auto, form), count, offset)``, but
+    the ancestors of the range are stepped a level at a time
     (``_DigitMemo.span``), each term is valued straight from its parent's
     snapshot by the runs' ``leaf`` and formatted from its ints.
     """
-    store, leaf = _charge_runs(auto, form, valuation)
+    store, leaf = _charge_runs(auto, form)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     terms = zip(range(offset, offset + count), store.span(offset, offset + count, leaf))
@@ -320,7 +311,8 @@ def a_recursion(n: int) -> Fraction:
 
 # b(n), the numerator of a(n), on ints: a(n) = b(n) / 2^max(1, bitlen n) with
 # b(n) odd, so b(2m) = b(m) and b(2m+1) = 2^bitlen(2m+1) - b(m); the empty
-# word's 1 gives b(0) = b(1) = 1. ``a_recursion(n).numerator`` is the oracle.
+# word's 1 gives b(0) = b(1) = 1. The builtin a reads it, with no recursion at
+# any n; ``a_recursion`` is the oracle.
 _b_recursion = _DigitMemo(2, 1, lambda b, n: (1 << n.bit_length()) - b if n & 1 else b)
 
 
@@ -441,7 +433,7 @@ def thue_morse(n: int) -> int:
 
 
 _BUILTIN_TERMS: dict[str, Sequence] = {
-    "a": a_recursion,
+    "a": lambda n: Fraction(_b_recursion[n], 1 << max(1, n.bit_length())),
     "b": _b_recursion.__getitem__,
     "d": d_shape_closed_form,
     "e": e_sequence,

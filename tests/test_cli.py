@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import ddfa
 from ddfa.cli import main
 from ddfa.discharge import delta_c
-from ddfa.documents import AutomatonDocument, corpus_path, parse_document, serialize_document
+from ddfa.documents import corpus_path, parse_document, serialize_document
 from ddfa.sequences import b_file_text, builtin_sequence, charge_sequence
 
 from conftest import LONG, random_ddfa, random_valuation, with_raw_json
@@ -92,7 +93,7 @@ class TestRun:
         limit = get_limit()
         code, out, err = run_cli(capsys, "run", TM, "1" * ones)
         assert (code, err, get_limit()) == (0, "", limit)
-        auto = parse_document(Path(TM).read_text(encoding="utf-8")).automaton
+        auto = parse_document(Path(TM).read_text(encoding="utf-8"))
         state, charge = delta_c(auto, auto.start, ("1",) * ones)
         if limit:
             sys.set_int_max_str_digits(0)
@@ -190,10 +191,10 @@ class TestSequence:
             base = len(auto.alphabet)
             if base < 2:
                 continue
-            valuation = random_valuation(rng, auto)
+            auto = replace(auto, valuation=random_valuation(rng, auto))
             doc = tmp_path / f"random{i}.json"
-            doc.write_text(serialize_document(AutomatonDocument(auto, valuation)))
-            seq = charge_sequence(auto, "reduced", valuation)
+            doc.write_text(serialize_document(auto))
+            seq = charge_sequence(auto, "reduced")
             for offset, count in ((0, base**3), (rng.randrange(base), 2), (2**1200, 3)):
                 try:
                     expected = (0, b_file_text(seq, count, offset), "")
@@ -656,6 +657,17 @@ def test_seeded_defective_b_files_keep_the_exit_contract(capsys, tmp_path):
         codes.add(_exit_contract(capsys, [str(case) if a == "bfile" else a for a in argv],
                                  (seq, line, defect, argv)))
     assert codes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("command", ["search", "verify"])
+def test_huge_start_index_on_a_keeps_the_exit_contract(capsys, tmp_path, command):
+    # builtin a at m = 2**1200, a parent chain far deeper than the recursion
+    # limit: the check answers, exit 0 or 1 with no stderr
+    spec = tmp_path / "spec.json"
+    spec.write_text(_with_field("t_singleton_spec.json", "m", str(2**1200)), encoding="utf-8")
+    argv = {"search": ["search", "--seq", "a", "--E", "0", "--level", "1", "--m", str(2**1200)],
+            "verify": ["verify", "--seq", "a", "--spec", str(spec), "--depth", "1"]}[command]
+    _exit_contract(capsys, [*argv, "--max", str(2**1200 + 4)], command)
 
 
 class TestWorkLimit:

@@ -7,7 +7,7 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddfa.automata import to_dot
+from ddfa.automata import build_tm_dfao, to_dot
 from ddfa.cli import main
 from ddfa.discharge import (
     build_fr_ddfao,
@@ -17,7 +17,6 @@ from ddfa.discharge import (
     validate_rules,
 )
 from ddfa.documents import (
-    AutomatonDocument,
     DocumentError,
     corpus_path,
     parse_document,
@@ -29,7 +28,7 @@ from ddfa.documents import (
 from ddfa.regularity import verify_quasi_k_regular
 from ddfa.sequences import builtin_sequence, charge_sequence, read_b_file
 
-from conftest import LONG, random_ddfa, with_raw_json
+from conftest import LONG, random_ddfa, random_valuation, with_raw_json
 
 F = Fraction
 
@@ -67,14 +66,19 @@ class TestRationals:
 
 class TestParseDocument:
     def test_shipped_tm_ddfa_matches_builder(self):
-        doc = parse_document(corpus_text("tm_ddfa.json"))
-        assert doc.automaton.kind == "ddfa"
-        assert doc.automaton == build_tm_ddfa()
+        auto = parse_document(corpus_text("tm_ddfa.json"))
+        assert auto.kind == "ddfa"
+        assert auto == build_tm_ddfa()
 
     def test_shipped_fr_ddfao_matches_builder(self):
-        doc = parse_document(corpus_text("fr_ddfao.json"))
-        assert doc.automaton == build_fr_ddfao()
-        assert doc.valuation == {q: F(1) for q in ("q0", "q1", "q2", "q3")}
+        auto = parse_document(corpus_text("fr_ddfao.json"))
+        assert auto == build_fr_ddfao()
+        assert auto.valuation == {q: F(1) for q in ("q0", "q1", "q2", "q3")}
+
+    def test_shipped_tm_dfao_matches_builder(self):
+        auto = parse_document(corpus_text("tm_dfao.json"))
+        assert auto.kind == "dfao"
+        assert auto == build_tm_dfao()
 
     def test_zero_denominator_weight(self):
         text = corpus_text("tm_ddfa.json").replace('"1/2"', '"3/0"', 1)
@@ -117,8 +121,7 @@ class TestParseDocument:
         obj["transitions"] = obj["transitions"][:-1]
         with pytest.raises(DocumentError, match="missing transition"):
             parse_document(json.dumps(obj))
-        doc = parse_document(json.dumps(obj), check=False)
-        assert doc.automaton.kind == "ddfa"
+        assert parse_document(json.dumps(obj), check=False).kind == "ddfa"
 
     def test_bad_kind_rejected(self):
         with pytest.raises(DocumentError, match="kind"):
@@ -205,26 +208,24 @@ class TestRulesMapping:
 
     @pytest.mark.parametrize("name", ["tm_ddfa.json", "fr_ddfao.json"])
     def test_parsed_rules_are_a_plain_dict(self, name):
-        auto = parse_document(corpus_text(name)).automaton
+        auto = parse_document(corpus_text(name))
         assert type(auto.rules) is dict
         assert auto.rules == equal_split_rules(replace(auto, rules=None))
 
     @pytest.mark.parametrize("name", ["tm_ddfa.json", "fr_ddfao.json"])
     def test_any_read_only_mapping_runs_the_same(self, name):
-        doc = parse_document(corpus_text(name))
-        auto = doc.automaton
+        auto = parse_document(corpus_text(name))
         proxied = replace(auto, rules=MappingProxyType(dict(auto.rules)))
         assert type(proxied.rules) is MappingProxyType
         for word in ("", "1", "1010", "110100111"):
             assert delta_c(proxied, auto.start, word) == delta_c(auto, auto.start, word)
-        for form in ("charge", "numerator") + (("reduced",) if doc.valuation else ()):
-            expected = charge_sequence(auto, form, doc.valuation)
-            got = charge_sequence(proxied, form, doc.valuation)
+        for form in ("charge", "numerator") + (("reduced",) if auto.valuation else ()):
+            expected = charge_sequence(auto, form)
+            got = charge_sequence(proxied, form)
             assert [got(n) for n in range(200)] == [expected(n) for n in range(200)]
         assert validate_rules(proxied).ok
         assert to_dot(proxied) == to_dot(auto)
-        assert (serialize_document(AutomatonDocument(proxied, doc.valuation))
-                == serialize_document(doc) == corpus_text(name))
+        assert serialize_document(proxied) == serialize_document(auto) == corpus_text(name)
 
 
 class TestRoundTrip:
@@ -236,20 +237,27 @@ class TestRoundTrip:
         assert serialize_document(parse_document(text)) == text
 
     def test_document_round_trip(self):
-        doc = AutomatonDocument(build_fr_ddfao(), {"q0": F(1, 3), "q2": F(2)})
-        assert parse_document(serialize_document(doc)) == doc
+        auto = replace(build_fr_ddfao(), valuation={"q0": F(1, 3), "q2": F(2)})
+        assert parse_document(serialize_document(auto)) == auto
 
     def test_random_automata_round_trip(self, rng):
+        # about half carry a valuation, some of them partial or empty
+        valued = partial = 0
         for _ in range(200):
-            doc = AutomatonDocument(random_ddfa(rng))
-            text = serialize_document(doc)
+            auto = random_ddfa(rng)
+            if rng.random() < 0.5:
+                auto = replace(auto, valuation=random_valuation(rng, auto))
+                valued += 1
+                partial += len(auto.valuation) < len(auto.states)
+            text = serialize_document(auto)
             parsed = parse_document(text)
-            assert parsed == doc
+            assert parsed == auto
             assert serialize_document(parsed) == text
+        assert 80 < valued < 120 and partial > 20
 
     def test_parsed_document_runs(self):
-        doc = parse_document(corpus_text("fr_ddfao.json"))
-        assert delta_c(doc.automaton, "q0", "1010") == ("q2", F(7, 8))
+        auto = parse_document(corpus_text("fr_ddfao.json"))
+        assert delta_c(auto, "q0", "1010") == ("q2", F(7, 8))
 
     @pytest.mark.parametrize(
         "name",

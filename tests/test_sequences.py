@@ -317,7 +317,7 @@ class TestThueMorse:
 
 
 class TestBuiltinsOnInts:
-    """t, e and b on plain ints against the word run and Fraction forms they replace."""
+    """t, e, a and b on plain ints against the word run and Fraction forms they replace."""
 
     HUGE = 2**1200 + 1  # a parent chain far deeper than the recursion limit
 
@@ -326,9 +326,10 @@ class TestBuiltinsOnInts:
             assert e_sequence(n) == d_shape_closed_form(n).numerator
 
     def test_b_equals_a_recursion_numerator_below_2_16(self):
-        b = builtin_sequence("b")
+        a, b = builtin_sequence("a"), builtin_sequence("b")
         for n in range(2**16):
             assert b(n) == a_recursion(n).numerator
+            assert a(n) == a_recursion(n)
         for n in range(1, 2**16):
             assert modified_b_sequence(n) == (a_recursion(n).numerator + 1) // 2
 
@@ -351,6 +352,7 @@ class TestBuiltinsOnInts:
         clear_builtin_memos()
         e_sequence.cache_clear()
         assert builtin_sequence("b")(self.HUGE) == 2**1201 - 1
+        assert builtin_sequence("a")(self.HUGE) == F(2**1201 - 1, 2**1201)
         assert thue_morse(self.HUGE) == 0
         # tcal(2^j) = 0 for j >= 2, since 2 is the only prime half-index on the way
         assert builtin_sequence("tcal")(self.HUGE) == 1
@@ -455,7 +457,7 @@ class TestChargeSequences:
 
     def test_reduced_value_sequence_with_unit_valuation(self):
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
-        seq = charge_sequence(build_fr_ddfao(), "reduced", valuation)
+        seq = charge_sequence(replace(build_fr_ddfao(), valuation=valuation), "reduced")
         assert [seq(n) for n in range(17)] == D_PREFIX
 
     def test_one_symbol_alphabet_rejected(self):
@@ -466,7 +468,8 @@ class TestChargeSequences:
             rules={(q, "0", "0"): F(1) for q in ("q0", "q1")},
         )
         for make in (charge_sequence,
-                     lambda auto: charge_sequence(auto, "reduced", {"q0": F(1), "q1": F(1)})):
+                     lambda auto: charge_sequence(
+                         replace(auto, valuation={"q0": F(1), "q1": F(1)}), "reduced")):
             with pytest.raises(ValueError, match=re.escape("alphabet ('0',) has 1 symbol(s)")):
                 make(one_digit)
 
@@ -480,7 +483,7 @@ class TestChargeSequences:
 
     def test_reduced_value_runs_once_per_index(self, memo_steps):
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
-        seq = charge_sequence(build_fr_ddfao(), "reduced", valuation)
+        seq = charge_sequence(replace(build_fr_ddfao(), valuation=valuation), "reduced")
         assert [seq(n) for n in range(17)] == D_PREFIX
         assert [seq(n) for n in range(17)] == D_PREFIX
         assert sorted(memo_steps) == sorted(ancestors(range(17), 2)) == list(range(1, 9))
@@ -499,7 +502,7 @@ class TestChargeSequences:
             valuation = {q: F(rng.randint(1, 3), rng.randint(1, 2))
                          for q in auto.states if rng.random() < 0.8}
             charges = charge_sequence(auto)
-            reduced = charge_sequence(auto, "reduced", valuation)
+            reduced = charge_sequence(replace(auto, valuation=valuation), "reduced")
             indices = list(range(base**4)) + [rng.randrange(base**9) for _ in range(40)]
             rng.shuffle(indices)
             for n in indices:
@@ -544,7 +547,7 @@ class TestChargeSequences:
             scaled_charge_sequence("tm_dfa")
 
     def test_reduced_value_sequence_missing_state(self):
-        seq = charge_sequence(build_fr_ddfao(), "reduced", {"q0": F(1)})
+        seq = charge_sequence(replace(build_fr_ddfao(), valuation={"q0": F(1)}), "reduced")
         with pytest.raises(ValueError, match="no assigned value"):
             seq(2)
 
@@ -564,15 +567,16 @@ class TestChargeListing:
         rng = random.Random(0x11570 + base)
         for _ in range(15):
             auto = random_base_k_ddfa(rng, base)
-            valuation = random_valuation(rng, auto) if rng.random() < 0.8 else None
+            if rng.random() < 0.8:
+                auto = replace(auto, valuation=random_valuation(rng, auto))
             windows = [(0, base**3 + 5), (rng.randrange(base), 3),
                        (rng.randrange(base**9, base**10), 40), (2**1200, 4)]
             for form in CHARGE_FORMS:  # "reduced" without a valuation: both refuse
                 for offset, count in windows:
                     assert self.outcome(
-                        lambda: charge_b_file_text(auto, form, count, offset, valuation)
+                        lambda: charge_b_file_text(auto, form, count, offset)
                     ) == self.outcome(lambda: b_file_text(
-                        charge_sequence(auto, form, valuation), count, offset))
+                        charge_sequence(auto, form), count, offset))
 
     def test_unvalued_final_state_lists_zero_charge_and_refuses_the_rest(self):
         rng = random.Random(0x2E60)
@@ -581,6 +585,7 @@ class TestChargeListing:
             base = rng.randint(2, 4)
             auto = random_base_k_ddfa(rng, base)
             valuation = random_valuation(rng, auto)
+            auto = replace(auto, valuation=valuation)
             for n in range(base**3):
                 state, charge = delta_c(auto, auto.start, base_k_word(n, base))
                 if state in valuation:
@@ -594,7 +599,7 @@ class TestChargeListing:
                     expected = (f"ValueError: state {state} has no assigned value" if value is None
                                 else f"{n} {value if form == 'reduced' else value.numerator}\n")
                     assert self.outcome(
-                        lambda: charge_b_file_text(auto, form, 1, n, valuation)) == expected
+                        lambda: charge_b_file_text(auto, form, 1, n)) == expected
         assert seen == {"valued", "zero", "refused"}
 
     @pytest.mark.parametrize("base,offset,count", [
@@ -645,7 +650,7 @@ class TestChargeListing:
             for form in CHARGE_FORMS:
                 if form == "reduced" and not valuation:
                     continue
-                _, leaf = ddfa.sequences._charge_runs(auto, form, valuation)
+                _, leaf = ddfa.sequences._charge_runs(replace(auto, valuation=valuation), form)
                 for state, current in enumerate(auto.states):
                     for length in (0, 1, 5, 70):
                         charges = [rng.choice([0, 0, 1, rng.randrange(2**80)]) for _ in auto.states]
@@ -686,12 +691,13 @@ class TestChargeListing:
         for _ in range(12):
             auto = random_base_k_ddfa(rng, base)
             valuation = random_valuation(rng, auto)
+            auto = replace(auto, valuation=valuation)
             for offset in (0, base - 1, 2**70 + 5, 2**1200):
                 window = range(offset, offset + 2 * base**2 + 3)
-                store, leaf = ddfa.sequences._charge_runs(auto, "reduced", valuation)
+                store, leaf = ddfa.sequences._charge_runs(auto, "reduced")
                 listed = first_failure(
                     (F(p, q) for p, q in store.span(window.start, window.stop, leaf)), window)
-                read = first_failure(map(charge_sequence(auto, "reduced", valuation), window), window)
+                read = first_failure(map(charge_sequence(auto, "reduced"), window), window)
                 assert listed == read
                 if offset < 2**1200:
                     assert first_failure(map(oracle, window), window) == read
@@ -728,8 +734,9 @@ class TestSequenceWrapper:
     @pytest.mark.parametrize("make", [
         *[lambda name=name: builtin_sequence(name) for name in BUILTIN_SEQUENCE_NAMES],
         lambda: charge_sequence(build_tm_ddfa()),
-        lambda: charge_sequence(build_fr_ddfao(), "reduced",
-                                {q: F(1) for q in ("q0", "q1", "q2", "q3")}),
+        lambda: charge_sequence(
+            replace(build_fr_ddfao(), valuation={q: F(1) for q in ("q0", "q1", "q2", "q3")}),
+            "reduced"),
         lambda: charge_sequence(build_fr_ddfao(), "numerator"),
         lambda: read_b_file("0 1\n1 2\n"),
     ], ids=[*BUILTIN_SEQUENCE_NAMES, "final-charge", "reduced-value", "numerators", "b-file"])
