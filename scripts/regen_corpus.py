@@ -129,6 +129,9 @@ def main() -> int:
         "e_quasi_spec.verify.txt": (
             "verify", "--seq", "e", "--spec", str(CORPUS / "e_quasi_spec.json"),
             "--max", "512", "--depth", "2"),
+        "e_quasi_spec.verify.d3.N4096.txt": (
+            "verify", "--seq", "e", "--spec", str(CORPUS / "e_quasi_spec.json"),
+            "--max", "4096", "--depth", "3"),
         "t_singleton_spec.verify.txt": (
             "verify", "--seq", "t", "--spec", str(CORPUS / "t_singleton_spec.json"),
             "--max", "512", "--depth", "2"),

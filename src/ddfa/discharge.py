@@ -54,11 +54,14 @@ class ReducedResult:
 def validate_rules(auto: Automaton) -> ValidationReport:
     """Check the discharge rule set: exact coverage, nonnegativity, unit sums."""
     report = ValidationReport("discharge rules")
-    expected = set(product(auto.states, auto.alphabet, auto.alphabet))
-    for key in expected - set(auto.rules):
-        report.add(f"missing weight for {key}")
-    for key in set(auto.rules) - expected:
-        report.add(f"unexpected weight key {key}")
+    # Ordered, not a set, so the problems do not come out in hash-seed order.
+    expected = dict.fromkeys(product(auto.states, auto.alphabet, auto.alphabet))
+    for key in expected:
+        if key not in auto.rules:
+            report.add(f"missing weight for {key}")
+    for key in auto.rules:
+        if key not in expected:
+            report.add(f"unexpected weight key {key}")
     for key, w in auto.rules.items():
         if w < 0:
             report.add(f"negative weight {w} at {key}")

@@ -54,15 +54,14 @@ class AffineCombination:
 def _read_columns(seq: Sequence, k: int, ns: range, keys) -> list[list]:
     """Columns [s(k^f n + b) for n in ns], one per (f, b) in keys.
 
-    Reads go index by index, all keys at n before any at n + 1, as a
-    per-index check reads them, so a sequence that is missing some index (a
-    short b-file) fails on the same index.
+    One ``map`` reads the keys' strided ranges interleaved, all keys at n
+    before any at n + 1, as a per-index check reads them, so a sequence that
+    is missing some index (a short b-file) fails on the same index. Slicing
+    the flat list gives one column per key.
     """
-    readers = [(k**f, b, []) for f, b in keys]
-    for n in ns:
-        for stride, b, column in readers:
-            column.append(seq(stride * n + b))
-    return [column for _, _, column in readers]
+    strided = [range(k**f * ns.start + b, k**f * ns.stop + b, k**f) for f, b in keys]
+    flat = list(map(seq, itertools.chain.from_iterable(zip(*strided))))
+    return [flat[j::len(keys)] for j in range(len(keys))]
 
 
 def _combination_column(comb: AffineCombination, columns, size: int) -> list:
@@ -248,7 +247,9 @@ def verify_quasi_k_regular(
     Base menus (level E+1) must all be supplied; deeper levels up to
     E + depth are derived by composition unless supplied explicitly. Each
     s(k^f n + b) is read once per call into a column over [m, limit], and
-    each option's column is compared with the level's target column.
+    each distinct option's column is built once per call (keeping at most
+    about WORK_LIMIT values). A level's first option lists its misses in one
+    pass; each later option counts its hits and rechecks only those misses.
     """
     validate_spec(spec)
     if depth < 1:
@@ -261,6 +262,7 @@ def verify_quasi_k_regular(
     k, m = spec.k, spec.m
     ns = range(m, limit + 1)
     columns: dict[tuple[int, int], list] = {}
+    option_columns: dict[AffineCombination, list] = {}
     for e in range(spec.E + 1, spec.E + depth + 1):
         for r in range(k**e):
             menu = _resolve_menu(spec, menus, e, r)
@@ -271,11 +273,20 @@ def verify_quasi_k_regular(
             target, *read = _read_columns(seq, k, ns, [(e, r), *new])
             columns.update(zip(new, read))
             hits = []
-            unmatched = range(len(ns))
+            unmatched = None
             for opt in menu.options:
-                values = _combination_column(opt, columns, len(ns))
-                hits.append(sum(map(operator.eq, values, target)))
-                unmatched = [i for i in unmatched if values[i] != target[i]]
+                values = option_columns.get(opt)
+                if values is None:
+                    values = _combination_column(opt, columns, len(ns))
+                    if len(option_columns) * len(ns) < WORK_LIMIT:
+                        option_columns[opt] = values
+                if unmatched is None:
+                    unmatched = list(
+                        itertools.compress(itertools.count(), map(operator.ne, values, target)))
+                    hits.append(len(ns) - len(unmatched))
+                else:
+                    hits.append(sum(map(operator.eq, values, target)))
+                    unmatched = [i for i in unmatched if values[i] != target[i]]
             first_failure = m + unmatched[0] if unmatched else None
             level = LevelReport(e, r, len(ns), hits, first_failure, menu)
             report.levels[(e, r)] = level
@@ -551,7 +562,7 @@ def k_kernel(seq: Sequence, k: int, depth: int, window: int = 64) -> KernelRepor
     for d in range(depth + 1):
         stride = k**d
         for r in range(stride):
-            vec = tuple(seq(stride * n + r) for n in range(window))
+            vec = tuple(map(seq, range(r, stride * window + r, stride)))
             if vec not in seen:
                 seen.add(vec)
                 if len(basis) < window:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -35,6 +36,9 @@ GOLDEN_COMMANDS = {
     "e_quasi_spec.verify.txt": [
         "verify", "--seq", "e", "--spec", str(corpus_path("e_quasi_spec.json")),
         "--max", "512", "--depth", "2"],
+    "e_quasi_spec.verify.d3.N4096.txt": [
+        "verify", "--seq", "e", "--spec", str(corpus_path("e_quasi_spec.json")),
+        "--max", "4096", "--depth", "3"],
     "t_singleton_spec.verify.txt": [
         "verify", "--seq", "t", "--spec", str(corpus_path("t_singleton_spec.json")),
         "--max", "512", "--depth", "2"],
@@ -289,6 +293,22 @@ class TestValidate:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
             assert "discharge[2]: unknown state 'B'" in err
+
+    def test_rule_problems_do_not_vary_with_the_hash_seed(self, tmp_path):
+        obj = json.loads(corpus_path("tm_ddfa.json").read_text())
+        obj["discharge"] = [{"state": "q1", "current": dict.fromkeys("hgfedcba", "0"),
+                             "notCurrent": {}}]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        for argv, code in ((["validate", str(bad)], 1), (["run", str(bad), "1"], 2)):
+            results = [run_module("-m", "ddfa.cli", *argv, env={"PYTHONHASHSEED": seed},
+                                  capture_output=True, timeout=60) for seed in ("0", "1")]
+            assert [r.returncode for r in results] == [code, code]
+            assert results[0].stdout + results[0].stderr == results[1].stdout + results[1].stderr
+        problems = results[0].stderr.split(": ", 2)[2].strip().split("; ")
+        missing = [f"missing weight for {key}"
+                   for key in itertools.product(("q0", "q1"), "01", "01")]
+        assert problems == missing + [f"unexpected weight key {('q1', s, s)}" for s in "hgfedcba"]
 
     def test_module_entry_point_runs_without_warnings(self):
         result = run_module("-W", "error::RuntimeWarning", "-m", "ddfa.cli", "validate", TM,

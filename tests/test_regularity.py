@@ -497,6 +497,34 @@ class TestVerifyMatchesPerIndexReference:
         assert got == expected
         assert report.verified == all(f is None for _, f in expected.values())
 
+    # A work limit of 1000 leaves room for 9 cached option columns of 101
+    # values, fewer than the levels list, so later options are rebuilt.
+    @pytest.mark.parametrize("work_limit", [regularity.WORK_LIMIT, 1000])
+    def test_failing_three_option_menus_with_overlapping_misses(self, work_limit, monkeypatch):
+        monkeypatch.setattr(regularity, "WORK_LIMIT", work_limit)
+        seq = builtin_sequence("tcal")
+        spec = QuasiRegularitySpec(2, 0, 0, {
+            (1, 0): RelationMenu(1, 0, (comb(0), comb(2, (-1, 0, 0)), comb(-1, (1, 0, 0)))),
+            (1, 1): RelationMenu(1, 1, (comb(0), comb(1), S_N)),
+        })
+        report = verify_quasi_k_regular(seq, spec, 100, 3)
+        expected = reference_levels(seq, report, 2, 0, 100)
+        assert {key: (level.option_hits, level.first_failure)
+                for key, level in report.levels.items()} == expected
+        assert not report.verified
+        assert any(level.first_failure is None for level in report.levels.values())
+        partial = False
+        for level in report.levels.values():
+            misses = [{n for n in range(101)
+                       if opt.constant + sum(t.coeff * seq(2**t.f * n + t.b) for t in opt.terms)
+                       != seq(2**level.e * n + level.r)}
+                      for opt in level.menu.options]
+            partial |= any(a & b and a != b for a, b in itertools.combinations(misses, 2))
+        assert partial
+        listed = [opt for level in report.levels.values() for opt in level.menu.options]
+        assert max(map(listed.count, listed)) >= 3
+        assert len(set(listed)) > 9
+
     def test_singleton_spec_fails_on_tcal(self):
         report = verify_quasi_k_regular(builtin_sequence("tcal"), t_singleton_spec(), 200, 2)
         assert not report.verified
@@ -517,6 +545,27 @@ class TestVerifyMatchesPerIndexReference:
         assert missing == [7]
         with pytest.raises(ValueError, match="index 7 not present"):
             verify_quasi_k_regular(read_b_file(text), e_spec(), 60, 2)
+
+
+class TestReadOrder:
+    @staticmethod
+    def recording(reads):
+        def seq(n):
+            reads.append(n)
+            return n % 3
+        return seq
+
+    def test_read_columns_reads_every_key_at_n_before_n_plus_one(self):
+        reads = []
+        keys = [(2, 3), (0, 0), (1, 1), (3, 5)]
+        columns = _read_columns(self.recording(reads), 2, range(4, 9), keys)
+        assert reads == [2**f * n + b for n in range(4, 9) for f, b in keys]
+        assert columns == [[(2**f * n + b) % 3 for n in range(4, 9)] for f, b in keys]
+
+    def test_k_kernel_reads_by_depth_then_residue_then_index(self):
+        reads = []
+        k_kernel(self.recording(reads), 3, 2, 16)
+        assert reads == [3**d * n + r for d in range(3) for r in range(3**d) for n in range(16)]
 
 
 def seeded_b_file(seed, draw):
