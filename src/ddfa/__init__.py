@@ -68,7 +68,6 @@ from .sequences import (
     charge_sequence,
     d_shape_closed_form,
     e_sequence,
-    scaled_charge_sequence,
     modified_b_sequence,
     read_b_file,
     thue_morse,

@@ -11,12 +11,14 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 from .automata import delta_star, parse_word, to_dot, validate_dfa
-from .discharge import charge_trajectory, reduce_charge, validate_rules
+from .discharge import charge_trajectory, delta_c, reduce_charge, validate_rules
 from .documents import (
     DocumentError,
+    corpus_path,
     parse_document,
     parse_spec_document,
     serialize_spec_document,
@@ -32,11 +34,10 @@ from .regularity import (
 from .sequences import (
     BUILTIN_SEQUENCE_NAMES,
     CHARGE_FORMS,
-    SCALED_CHARGE_NAMES,
     builtin_sequence,
     charge_b_file_text,
+    charge_sequence,
     read_b_file,
-    scaled_charge_sequence,
 )
 
 EXIT_OK = 0
@@ -110,14 +111,14 @@ def cmd_run(args) -> int:
         state = delta_star(auto, auto.start, word)
         print(state if auto.output is None else f"{state} {auto.output[state]}")
         return EXIT_OK
-    snapshots = charge_trajectory(auto, auto.start, word)
     with _any_int_digits():
         if args.trace:
-            for i, (state, vector) in enumerate(snapshots):
+            for i, (state, vector) in enumerate(charge_trajectory(auto, auto.start, word)):
                 prefix = "start" if i == 0 else f"read {word[i - 1]} ->"
                 print(f"step {i}: {prefix} {state}  {_format_vector(auto.states, vector)}")
-        state, vector = snapshots[-1]
-        charge = vector[state]
+            charge = vector[state]  # of the last snapshot
+        else:
+            state, charge = delta_c(auto, auto.start, word)
         print(f"{state} {charge}")
         if auto.valuation is not None:
             print(f"reduced {reduce_charge(auto.valuation, state, charge)}")
@@ -152,6 +153,8 @@ def cmd_verify(args) -> int:
         if given:
             raise DocumentError(f"--conjecture takes no {' or '.join(given)}")
         return _cmd_conjecture(args)
+    if args.coeff_bound is not None:
+        raise DocumentError("only --conjecture takes --coeff-bound")
     if not args.seq or not args.spec:
         raise DocumentError("verify needs --seq and --spec (or --conjecture)")
     seq = _load_sequence(args.seq)
@@ -172,12 +175,20 @@ def cmd_verify(args) -> int:
     return EXIT_FAILED
 
 
+# One numerator producer per corpus document and process, keyed by the corpus
+# name and not a path, so that a rewritten file is never read stale.
+@cache
+def _conjecture_sequence(name: str) -> Sequence:
+    return charge_sequence(parse_document(_read(str(corpus_path(f"{name}.json")))), "numerator")
+
+
 def _cmd_conjecture(args) -> int:
     ok = True
-    for name in SCALED_CHARGE_NAMES:
-        seq = scaled_charge_sequence(name)
+    bound = 2 if args.coeff_bound is None else args.coeff_bound
+    for name in ("tm_ddfa", "fr_ddfao"):
+        seq = _conjecture_sequence(name)
         found = search_relation_menus(
-            seq, k=2, E=1, m=1, level=2, coeff_bound=args.coeff_bound, limit=args.max
+            seq, k=2, E=1, m=1, level=2, coeff_bound=bound, limit=args.max
         )
         if not found.complete:
             holes = {key: v for key, v in found.uncovered.items() if v}
@@ -192,7 +203,7 @@ def _cmd_conjecture(args) -> int:
             print(f"{name} level ({e},{r}): hits {level.option_hits}  menu: {options}")
         if report.verified:
             print(f"{name}: scaled charge sequence admits verified menus "
-                  f"(N={args.max}, coeff bound {args.coeff_bound})")
+                  f"(N={args.max}, coeff bound {bound})")
         else:
             print(f"{name}: menus found but re-verification FAILED")
             ok = False
@@ -281,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="instead: search+verify menus for the numerator-scaled charge "
         "sequences of both builtin automata",
     )
-    p.add_argument("--coeff-bound", type=int, default=2,
+    p.add_argument("--coeff-bound", type=int,
                    help="coefficient bound for --conjecture search (default 2)")
     p.set_defaults(handler=cmd_verify)
 

@@ -112,9 +112,13 @@ def charge_trajectory(
 def delta_c(auto: Automaton, q: str, word: Iterable[str]) -> ChargeResult:
     """Final state and the charge it holds after running ``word`` from ``q``.
 
-    The empty word yields (q, 1).
+    The empty word yields (q, 1). Keeps one snapshot at a time.
     """
-    state, vector = charge_trajectory(auto, q, word)[-1]
+    if q not in auto.states:
+        raise ValueError(f"unknown state {q!r}")
+    state, vector = q, {p: (ONE if p == q else ZERO) for p in auto.states}
+    for s in word:
+        state, vector = charge_step(auto, state, vector, s)
     return ChargeResult(state, vector[state])
 
 

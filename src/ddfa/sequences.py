@@ -1,15 +1,15 @@
 """Number sequences read off automaton charge runs, plus their closed forms.
 
-The two builtin automata give rise to a small family of sequences, exposed
-here both through simulation (running the automaton on base-k expansions)
-and through independent recursions or word-shape closed forms. The builtin
-names used by the command line are:
+The builtin automata give rise to a small family of sequences. Running an
+automaton on base-k expansions is ``charge_sequence``; the builtin names
+used by the command line read recursions on ints or word-shape closed
+forms instead, and build no automaton:
 
     a        final charges of the 2-state equal-split automaton, base 2
     b        numerators of a (always odd)
     d        reduced final charges of the 4-state automaton, all states valued 1
     e        numerators of d
-    t        binary digit-parity sequence (runs the 2-state plain automaton)
+    t        binary digit parity, a memo on ints (the parity DFAO run is its oracle)
     tcal     0/1 recursion whose even branch switches on primality
     a131271  triangle of permutations of {1..2^n}, read row by row
 
@@ -32,8 +32,7 @@ from itertools import chain, islice, repeat
 from math import gcd, lcm
 from typing import Callable, Iterator
 
-from .automata import Automaton, build_tm_dfao
-from .discharge import build_fr_ddfao, build_tm_ddfa
+from .automata import Automaton
 from .documents import decimal_literal, parse_rational
 from .regularity import Sequence
 
@@ -266,29 +265,6 @@ def charge_b_file_text(auto: Automaton, form: str, count: int, offset: int = 0) 
     return "\n".join(lines) + "\n"
 
 
-_SCALED_CHARGE_BUILDERS: dict[str, Callable[[], Automaton]] = {
-    "tm_ddfa": build_tm_ddfa,
-    "fr_ddfao": build_fr_ddfao,
-}
-SCALED_CHARGE_NAMES = tuple(_SCALED_CHARGE_BUILDERS)
-
-
-@cache
-def scaled_charge_sequence(name: str) -> Sequence:
-    """Numerators of the base-2 final charges of builtin automaton ``name``.
-
-    One producer per name and process, so every reader shares its snapshots.
-    """
-    try:
-        build = _SCALED_CHARGE_BUILDERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scaled-charge automaton {name!r}; expected one of "
-            f"{list(SCALED_CHARGE_NAMES)}"
-        ) from None
-    return charge_sequence(build(), "numerator")
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -416,16 +392,14 @@ def _is_prime(n: int) -> bool:
 _tcal = _DigitMemo(2, 0, lambda v, n: 1 - v if n & 1 or _is_prime(n >> 1) else v)
 
 
-_TM_DFAO: Automaton = build_tm_dfao()
-_TM_OUTPUTS: dict[str, int] = {q: int(v) for q, v in _TM_DFAO.output.items()}
-# n -> the parity automaton's state after the binary word of n
-_tm_states = _DigitMemo(
-    2, _TM_DFAO.start, lambda q, n: _TM_DFAO.transition[(q, "1" if n & 1 else "0")])
+# t, the binary digit parity: t(2m + d) = t(m) xor d, and the empty word's 0
+# gives t(0) = 0.
+_t = _DigitMemo(2, 0, lambda v, n: v ^ (n & 1))
 
 
 def thue_morse(n: int) -> int:
-    """Digit-parity of n base 2, computed by running the 2-state automaton."""
-    return _TM_OUTPUTS[_tm_states[n]]
+    """Digit-parity of n base 2, the builtin t; the parity DFAO's run is its oracle."""
+    return _t[n]
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +411,7 @@ _BUILTIN_TERMS: dict[str, Sequence] = {
     "b": _b_recursion.__getitem__,
     "d": d_shape_closed_form,
     "e": e_sequence,
-    "t": thue_morse,
+    "t": _t.__getitem__,
     "tcal": _tcal.__getitem__,
     "a131271": _a131271_flat,
 }

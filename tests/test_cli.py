@@ -406,17 +406,24 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: --conjecture takes no {option[0]}\n"
 
+    def test_coeff_bound_needs_conjecture(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seq", "t", "--spec",
+                                 str(corpus_path("t_singleton_spec.json")), "--max", "64",
+                                 "--depth", "1", "--coeff-bound", "7")
+        assert (code, out) == (2, "")
+        assert err == "error: only --conjecture takes --coeff-bound\n"
+
     def test_conjecture_output_does_not_depend_on_the_memo(self, capsys):
-        from ddfa.sequences import scaled_charge_sequence
+        from ddfa.cli import _conjecture_sequence
 
         commands = [["--coeff-bound", "2", "--max", "1024"],
                     ["--coeff-bound", "1", "--max", "1000"],
                     ["--coeff-bound", "1", "--max", "1050"]]
         argv = ["verify", "--conjecture", "scaled-charges"]
-        scaled_charge_sequence.cache_clear()
+        _conjecture_sequence.cache_clear()
         shared = [run_cli(capsys, *argv, *command)[:2] for command in commands]
         for command, outcome in zip(commands, shared):
-            scaled_charge_sequence.cache_clear()
+            _conjecture_sequence.cache_clear()
             assert run_cli(capsys, *argv, *command)[:2] == outcome
 
     def test_non_ascii_digit_bfile_exit_two(self, capsys, tmp_path):
@@ -777,6 +784,18 @@ class TestRunRecord:
         assert ("\nreduced " in out) == valued
         assert steps == list("1010")
 
+    @pytest.mark.parametrize("name", ["tm_ddfa", "fr_ddfao"])
+    def test_untraced_run_keeps_no_trajectory(self, capsys, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError("an untraced run built a trajectory")
+
+        monkeypatch.setattr(ddfa.cli, "charge_trajectory", refuse)
+        code, out, _ = run_cli(capsys, "run", str(corpus_path(f"{name}.json")), "1010")
+        assert code == 0
+        golden = corpus_path(f"golden/{name}.run1010.txt").read_text(encoding="utf-8")
+        assert out.splitlines() == [line for line in golden.splitlines()
+                                    if not line.startswith("step ")]
+
     def test_no_valuation_no_reduced(self, capsys):
         code, out, _ = run_cli(capsys, "run", TM, "", "--trace")
         assert code == 0
@@ -784,6 +803,10 @@ class TestRunRecord:
 
 
 class TestGoldens:
+    def test_every_golden_has_one_command(self):
+        shipped = {path.name for path in corpus_path("golden").iterdir()}
+        assert shipped == set(GOLDEN_COMMANDS)
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
     def test_reproduces_golden(self, capsys, name):
         code, out, _ = run_cli(capsys, *GOLDEN_COMMANDS[name])

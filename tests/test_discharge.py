@@ -133,6 +133,16 @@ class TestDeltaC:
         with pytest.raises(ValueError, match="unknown state"):
             delta_c(build_tm_ddfa(), "nope", "")
 
+    def test_keeps_no_trajectory(self, monkeypatch):
+        import ddfa.discharge
+
+        def refuse(*args):
+            raise AssertionError("delta_c built a trajectory")
+
+        monkeypatch.setattr(ddfa.discharge, "charge_trajectory", refuse)
+        assert delta_c(build_tm_ddfa(), "q0", "1010") == ("q0", F(7, 16))
+        assert delta_c(build_fr_ddfao(), "q0", "1010") == ("q2", F(7, 8))
+
 
 class TestChargeTrajectory:
     def test_tm_1010_charges_at_q0(self):

@@ -7,6 +7,7 @@ from math import isqrt, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ddfa.cli
 import ddfa.sequences
 from ddfa.automata import base_k_word, build_tm_dfa, build_tm_dfao, dfao_output
 from ddfa.discharge import (
@@ -31,7 +32,6 @@ from ddfa.sequences import (
     e_sequence,
     modified_b_sequence,
     read_b_file,
-    scaled_charge_sequence,
     thue_morse,
 )
 
@@ -55,7 +55,7 @@ TCAL_PREFIX = [0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0,
 T_PREFIX = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1]
 tcal = builtin_sequence("tcal")
 # the module-level digit-walk memos behind b, tcal and t
-BUILTIN_MEMOS = (ddfa.sequences._b_recursion, ddfa.sequences._tcal, ddfa.sequences._tm_states)
+BUILTIN_MEMOS = (ddfa.sequences._b_recursion, ddfa.sequences._tcal, ddfa.sequences._t)
 
 
 class MemoSteps(list):
@@ -334,19 +334,20 @@ class TestBuiltinsOnInts:
             assert modified_b_sequence(n) == (a_recursion(n).numerator + 1) // 2
 
     def test_t_equals_word_run_in_shuffled_order(self):
+        # the digit-parity recursion against an independent run of the parity DFAO
         clear_builtin_memos()
-        dfao = build_tm_dfao()
+        t, dfao = builtin_sequence("t"), build_tm_dfao()
         rng = random.Random(0x7A1E)
         indices = list(range(2**16)) + [rng.randrange(2**40, 2**48) for _ in range(64)]
         rng.shuffle(indices)
         for n in indices:
-            assert thue_morse(n) == int(dfao_output(dfao, base_k_word(n, 2)))
+            assert t(n) == thue_morse(n) == int(dfao_output(dfao, base_k_word(n, 2)))
 
     def test_t_cold_parents_past_2_40(self):
         clear_builtin_memos()
         for n in (2**40, 2**40 + 1, 3 * 2**41 + 7, 2**47 - 1):
             assert thue_morse(n) == bin(n).count("1") % 2
-            assert n // 2 in ddfa.sequences._tm_states  # a cold read stores its ancestors
+            assert n // 2 in ddfa.sequences._t  # a cold read stores its ancestors
 
     def test_huge_cold_indices(self):
         clear_builtin_memos()
@@ -396,7 +397,7 @@ class TestDigitMemo:
             return builtin_sequence("tcal"), tcal_reference
         if name == "t":
             dfao = build_tm_dfao()
-            return thue_morse, lambda n: int(dfao_output(dfao, base_k_word(n, 2)))
+            return builtin_sequence("t"), lambda n: int(dfao_output(dfao, base_k_word(n, 2)))
         auto = {"tm_ddfa": build_tm_ddfa, "fr_ddfao": build_fr_ddfao}[name]()
         return (charge_sequence(auto),
                 lambda n: delta_c(auto, auto.start, base_k_word(n, 2)).final_charge)
@@ -420,12 +421,11 @@ class TestDigitMemo:
     def test_span_equals_oracle_and_stores_nothing(self, name):
         clear_builtin_memos()
         memo = {"b": ddfa.sequences._b_recursion, "tcal": ddfa.sequences._tcal,
-                "t": ddfa.sequences._tm_states}[name]
+                "t": ddfa.sequences._t}[name]
         read, oracle = self._read_and_oracle(name)
         windows = [range(0, 300), range(1, 2), range(5, 6), range(4096, 4096 + 513)]
         huge = range(2**1200, 2**1200 + 9)  # past the depth the recursive oracles reach
-        value = ddfa.sequences._TM_OUTPUTS.get if name == "t" else int  # t's memo holds states
-        spans = [list(map(value, memo.span(w.start, w.stop, memo.step)))
+        spans = [list(map(int, memo.span(w.start, w.stop, memo.step)))
                  for w in [*windows, huge]]
         assert not memo
         assert spans == [[oracle(n) for n in w] for w in windows] + [[read(n) for n in huge]]
@@ -526,25 +526,21 @@ class TestChargeSequences:
 
     @pytest.mark.parametrize("name,build", [("tm_ddfa", build_tm_ddfa),
                                             ("fr_ddfao", build_fr_ddfao)])
-    def test_scaled_charge_sequence_is_shared(self, name, build):
-        shared = scaled_charge_sequence(name)
-        assert scaled_charge_sequence(name) is shared
+    def test_conjecture_sequence_is_shared(self, name, build):
+        shared = ddfa.cli._conjecture_sequence(name)
+        assert ddfa.cli._conjecture_sequence(name) is shared
         fresh = charge_sequence(build(), "numerator")
         assert [shared(n) for n in range(2**12)] == [fresh(n) for n in range(2**12)]
 
     def test_scaled_charge_terms_run_once_per_process(self, memo_steps):
-        scaled_charge_sequence.cache_clear()
+        ddfa.cli._conjecture_sequence.cache_clear()
         try:
             for _ in range(2):
-                seq = scaled_charge_sequence("tm_ddfa")
+                seq = ddfa.cli._conjecture_sequence("tm_ddfa")
                 assert [seq(n) for n in range(25)] == B_PREFIX
             assert sorted(memo_steps) == sorted(ancestors(range(25), 2)) == list(range(1, 13))
         finally:
-            scaled_charge_sequence.cache_clear()  # drop the memo with the counting step
-
-    def test_scaled_charge_sequence_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown scaled-charge automaton 'tm_dfa'"):
-            scaled_charge_sequence("tm_dfa")
+            ddfa.cli._conjecture_sequence.cache_clear()  # drop the memo with the counting step
 
     def test_reduced_value_sequence_missing_state(self):
         seq = charge_sequence(replace(build_fr_ddfao(), valuation={"q0": F(1)}), "reduced")
