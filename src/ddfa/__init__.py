@@ -70,7 +70,6 @@ from .sequences import (
     e_sequence,
     modified_b_sequence,
     read_b_file,
-    thue_morse,
 )
 
 __version__ = "0.1.0"

@@ -127,8 +127,6 @@ def cmd_run(args) -> int:
 
 def cmd_sequence(args) -> int:
     auto = parse_document(_read(args.document))
-    if auto.rules is None:
-        raise DocumentError("sequence generation needs a discharging automaton (ddfa/ddfao)")
     if args.count < 1:
         raise DocumentError(f"--count must be >= 1, got {args.count}")
     if args.count > WORK_LIMIT:

@@ -94,14 +94,20 @@ def charge_step(
     return transition[(current, symbol)], new
 
 
+def _unit_charge(auto: Automaton, q: str) -> ChargeVector:
+    """The start of a charge run: charge 1 on ``q``, 0 elsewhere."""
+    if auto.rules is None:
+        raise ValueError("a charge run needs a discharging automaton (ddfa/ddfao)")
+    if q not in auto.states:
+        raise ValueError(f"unknown state {q!r}")
+    return {p: (ONE if p == q else ZERO) for p in auto.states}
+
+
 def charge_trajectory(
     auto: Automaton, q: str, word: Iterable[str]
 ) -> list[tuple[str, ChargeVector]]:
     """All (current state, charge vector) snapshots of a run from unit charge on ``q``."""
-    if q not in auto.states:
-        raise ValueError(f"unknown state {q!r}")
-    state = q
-    vector = {p: (ONE if p == q else ZERO) for p in auto.states}
+    state, vector = q, _unit_charge(auto, q)
     snapshots = [(state, vector)]
     for s in word:
         state, vector = charge_step(auto, state, vector, s)
@@ -114,9 +120,7 @@ def delta_c(auto: Automaton, q: str, word: Iterable[str]) -> ChargeResult:
 
     The empty word yields (q, 1). Keeps one snapshot at a time.
     """
-    if q not in auto.states:
-        raise ValueError(f"unknown state {q!r}")
-    state, vector = q, {p: (ONE if p == q else ZERO) for p in auto.states}
+    state, vector = q, _unit_charge(auto, q)
     for s in word:
         state, vector = charge_step(auto, state, vector, s)
     return ChargeResult(state, vector[state])

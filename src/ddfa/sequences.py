@@ -154,6 +154,8 @@ def _charge_runs(
     the D-scaled weights into the next state, plus D times the next state's
     own charge when it is not the current one.
     """
+    if auto.rules is None:
+        raise ValueError("sequence generation needs a discharging automaton (ddfa/ddfao)")
     if form not in CHARGE_FORMS:
         raise ValueError(f"unknown form {form!r}; expected charge, reduced or numerator")
     valuation = None if form == "charge" else auto.valuation
@@ -395,11 +397,6 @@ _tcal = _DigitMemo(2, 0, lambda v, n: 1 - v if n & 1 or _is_prime(n >> 1) else v
 # t, the binary digit parity: t(2m + d) = t(m) xor d, and the empty word's 0
 # gives t(0) = 0.
 _t = _DigitMemo(2, 0, lambda v, n: v ^ (n & 1))
-
-
-def thue_morse(n: int) -> int:
-    """Digit-parity of n base 2, the builtin t; the parity DFAO's run is its oracle."""
-    return _t[n]
 
 
 # ---------------------------------------------------------------------------

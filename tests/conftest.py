@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ddfa.automata import Automaton
+
+# the tests run the golden commands of scripts/regen_corpus.py
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 LONG = "1" * 4301  # one digit past CPython's default int <- str limit
 

@@ -31,7 +31,6 @@ from ddfa.sequences import (
     d_shape_closed_form,
     e_sequence,
     modified_b_sequence,
-    thue_morse,
 )
 
 from conftest import random_dfa, random_ddfa, random_word
@@ -101,7 +100,7 @@ def test_criterion_03_sequence_goldens():
         F(1, 32)]
     tcal_ok = [builtin_sequence("tcal")(n) for n in range(23)] == [
         0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0]
-    t_ok = [thue_morse(n) for n in range(22)] == [
+    t_ok = [builtin_sequence("t")(n) for n in range(22)] == [
         0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1]
     elapsed = time.perf_counter() - t0
     ok = all((a_ok, b_ok, mod_ok, e_ok, d_ok, tcal_ok, t_ok)) and elapsed < 1.0

@@ -16,39 +16,7 @@ from ddfa.documents import corpus_path, parse_document, serialize_document
 from ddfa.sequences import b_file_text, builtin_sequence, charge_sequence
 
 from conftest import LONG, random_ddfa, random_valuation, with_raw_json
-
-TM = str(corpus_path("tm_ddfa.json"))
-FR = str(corpus_path("fr_ddfao.json"))
-TM_DFAO = str(corpus_path("tm_dfao.json"))
-
-GOLDEN_COMMANDS = {
-    "tm_ddfa.run1010.txt": ["run", TM, "1010", "--trace"],
-    "fr_ddfao.run1010.txt": ["run", FR, "1010", "--trace"],
-    "tm_ddfa.dot": ["dot", TM],
-    "fr_ddfao.dot": ["dot", FR],
-    "tm_dfao.dot": ["dot", TM_DFAO],
-    "tm_ddfa.seq15.txt": ["sequence", TM, "--count", "15", "--form", "charge"],
-    "tm_ddfa.num25.txt": ["sequence", TM, "--count", "25", "--form", "numerator"],
-    "fr_ddfao.red17.txt": ["sequence", FR, "--count", "17", "--form", "reduced"],
-    "tcal_quasi_spec.verify.txt": [
-        "verify", "--seq", "tcal", "--spec", str(corpus_path("tcal_quasi_spec.json")),
-        "--max", "512", "--depth", "2"],
-    "e_quasi_spec.verify.txt": [
-        "verify", "--seq", "e", "--spec", str(corpus_path("e_quasi_spec.json")),
-        "--max", "512", "--depth", "2"],
-    "e_quasi_spec.verify.d3.N4096.txt": [
-        "verify", "--seq", "e", "--spec", str(corpus_path("e_quasi_spec.json")),
-        "--max", "4096", "--depth", "3"],
-    "t_singleton_spec.verify.txt": [
-        "verify", "--seq", "t", "--spec", str(corpus_path("t_singleton_spec.json")),
-        "--max", "512", "--depth", "2"],
-    "tcal.search.E2L3C1.txt": [
-        "search", "--seq", "tcal", "--E", "2", "--level", "3", "--coeff-bound", "1",
-        "--max", "200"],
-    "conjecture.N256.txt": ["verify", "--conjecture", "scaled-charges", "--max", "256"],
-    **{f"{seq}.kernel.d8.txt": ["kernel", "--seq", seq, "--depth", "8"]
-       for seq in ("a", "b", "e", "t", "tcal", "a131271")},
-}
+from regen_corpus import FR, GOLDENS, TM, TM_DFAO
 
 
 def run_cli(capsys, *argv):
@@ -805,11 +773,11 @@ class TestRunRecord:
 class TestGoldens:
     def test_every_golden_has_one_command(self):
         shipped = {path.name for path in corpus_path("golden").iterdir()}
-        assert shipped == set(GOLDEN_COMMANDS)
+        assert shipped == set(GOLDENS)
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+    @pytest.mark.parametrize("name", sorted(GOLDENS))
     def test_reproduces_golden(self, capsys, name):
-        code, out, _ = run_cli(capsys, *GOLDEN_COMMANDS[name])
+        code, out, _ = run_cli(capsys, *GOLDENS[name])
         assert code == 0
         golden = corpus_path(f"golden/{name}").read_text(encoding="utf-8")
         assert out == golden

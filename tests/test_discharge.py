@@ -133,6 +133,10 @@ class TestDeltaC:
         with pytest.raises(ValueError, match="unknown state"):
             delta_c(build_tm_ddfa(), "nope", "")
 
+    def test_automaton_without_rules_rejected(self):
+        with pytest.raises(ValueError, match="needs a discharging automaton"):
+            delta_c(build_tm_dfa(), "q0", "1")
+
     def test_keeps_no_trajectory(self, monkeypatch):
         import ddfa.discharge
 
@@ -164,6 +168,10 @@ class TestChargeTrajectory:
     def test_unknown_state_rejected(self):
         with pytest.raises(ValueError, match="unknown state"):
             charge_trajectory(build_tm_ddfa(), "nope", "1")
+
+    def test_automaton_without_rules_rejected(self):
+        with pytest.raises(ValueError, match="needs a discharging automaton"):
+            charge_trajectory(build_tm_dfa(), "q0", "1")
 
     def test_last_snapshot_matches_delta_c(self, rng):
         for _ in range(25):

@@ -17,6 +17,7 @@ from ddfa.discharge import (
     validate_rules,
 )
 from ddfa.documents import (
+    CORPUS_DIR,
     DocumentError,
     corpus_path,
     parse_document,
@@ -259,10 +260,7 @@ class TestRoundTrip:
         auto = parse_document(corpus_text("fr_ddfao.json"))
         assert delta_c(auto, "q0", "1010") == ("q2", F(7, 8))
 
-    @pytest.mark.parametrize(
-        "name",
-        ["tcal_quasi_spec.json", "e_quasi_spec.json", "t_singleton_spec.json"],
-    )
+    @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS_DIR.glob("*_spec.json")))
     def test_spec_corpus_files_are_canonical(self, name):
         text = corpus_text(name)
         assert serialize_spec_document(parse_spec_document(text)) == text

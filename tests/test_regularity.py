@@ -27,7 +27,6 @@ from ddfa.sequences import (
     builtin_sequence,
     e_sequence,
     read_b_file,
-    thue_morse,
 )
 
 
@@ -105,6 +104,14 @@ class TestValidateSpec:
     def test_good_specs_pass(self):
         for spec in (tcal_spec(), e_spec(), t_singleton_spec()):
             validate_spec(spec)
+
+    @pytest.mark.parametrize("name, spec", [
+        ("tcal_quasi_spec.json", tcal_spec), ("e_quasi_spec.json", e_spec),
+        ("t_singleton_spec.json", t_singleton_spec)])
+    def test_shipped_spec_parses_to_the_spec_here(self, name, spec):
+        # each shipped spec document is its own source; this pins its content
+        text = corpus_path(name).read_text(encoding="utf-8")
+        assert parse_spec_document(text) == spec()
 
     def test_tautological_menu_rejected(self):
         # s(2n) = s(2n) uses a term with f = 1 > E = 0
@@ -344,12 +351,13 @@ class TestKernel:
     def test_thue_morse_oracle_agrees(self):
         # oracle: s(2^e n + r) has parity of n shifted by the parity of r,
         # so every kernel vector is the base sequence or its complement
-        base = tuple(thue_morse(n) for n in range(64))
+        t = builtin_sequence("t")
+        base = tuple(t(n) for n in range(64))
         complement = tuple(1 - x for x in base)
         vectors = set()
         for e in range(7):
             for r in range(2**e):
-                vectors.add(tuple(thue_morse(2**e * n + r) for n in range(64)))
+                vectors.add(tuple(t(2**e * n + r) for n in range(64)))
         assert vectors == {base, complement}
 
     def test_tcal_strictly_increasing(self):

@@ -32,7 +32,6 @@ from ddfa.sequences import (
     e_sequence,
     modified_b_sequence,
     read_b_file,
-    thue_morse,
 )
 
 from conftest import random_ddfa, random_valuation
@@ -304,16 +303,18 @@ class TestTcal:
 
 class TestThueMorse:
     def test_prefix(self):
-        assert [thue_morse(n) for n in range(22)] == T_PREFIX
+        t = builtin_sequence("t")
+        assert [t(n) for n in range(22)] == T_PREFIX
 
     def test_t_zero(self):
-        assert thue_morse(0) == 0
+        assert builtin_sequence("t")(0) == 0
 
     def test_doubling_identity_below_2_12(self):
         # oracle: appending a 0 digit never changes the digit parity
+        t = builtin_sequence("t")
         for n in range(2**12):
-            assert thue_morse(2 * n) == thue_morse(n)
-            assert thue_morse(n) == bin(n).count("1") % 2
+            assert t(2 * n) == t(n)
+            assert t(n) == bin(n).count("1") % 2
 
 
 class TestBuiltinsOnInts:
@@ -341,12 +342,12 @@ class TestBuiltinsOnInts:
         indices = list(range(2**16)) + [rng.randrange(2**40, 2**48) for _ in range(64)]
         rng.shuffle(indices)
         for n in indices:
-            assert t(n) == thue_morse(n) == int(dfao_output(dfao, base_k_word(n, 2)))
+            assert t(n) == int(dfao_output(dfao, base_k_word(n, 2)))
 
     def test_t_cold_parents_past_2_40(self):
         clear_builtin_memos()
         for n in (2**40, 2**40 + 1, 3 * 2**41 + 7, 2**47 - 1):
-            assert thue_morse(n) == bin(n).count("1") % 2
+            assert builtin_sequence("t")(n) == bin(n).count("1") % 2
             assert n // 2 in ddfa.sequences._t  # a cold read stores its ancestors
 
     def test_huge_cold_indices(self):
@@ -354,7 +355,7 @@ class TestBuiltinsOnInts:
         e_sequence.cache_clear()
         assert builtin_sequence("b")(self.HUGE) == 2**1201 - 1
         assert builtin_sequence("a")(self.HUGE) == F(2**1201 - 1, 2**1201)
-        assert thue_morse(self.HUGE) == 0
+        assert builtin_sequence("t")(self.HUGE) == 0
         # tcal(2^j) = 0 for j >= 2, since 2 is the only prime half-index on the way
         assert builtin_sequence("tcal")(self.HUGE) == 1
         assert builtin_sequence("a131271")(self.HUGE) == 2**1199  # T(1200, 3)
@@ -368,7 +369,8 @@ class TestBuiltinsOnInts:
     def test_in_order_t_steps_once_per_index(self, memo_steps):
         # every n read after n // 2 is one transition from its stored state
         clear_builtin_memos()
-        assert [thue_morse(n) for n in range(2**12)] == [
+        t = builtin_sequence("t")
+        assert [t(n) for n in range(2**12)] == [
             bin(n).count("1") % 2 for n in range(2**12)]
         assert memo_steps == list(range(2**12))
 
@@ -454,6 +456,13 @@ class TestChargeSequences:
         skipped_digit = replace(build_tm_ddfa(), alphabet=("0", "2"))
         with pytest.raises(ValueError, match=re.escape("alphabet ('0', '2') is not the base-2")):
             charge_sequence(skipped_digit)
+
+    def test_automaton_without_rules_rejected(self):
+        message = "sequence generation needs a discharging automaton"
+        with pytest.raises(ValueError, match=message):
+            charge_sequence(build_tm_dfa())
+        with pytest.raises(ValueError, match=message):
+            charge_b_file_text(build_tm_dfa(), "charge", 3)
 
     def test_reduced_value_sequence_with_unit_valuation(self):
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
