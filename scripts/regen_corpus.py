@@ -56,7 +56,7 @@ GOLDENS = {
         "--coeff-bound", "1", "--max", "200"),
     "conjecture.N256.txt": ("verify", "--conjecture", "scaled-charges", "--max", "256"),
     **{f"{seq}.kernel.d8.txt": ("kernel", "--seq", seq, "--depth", "8")
-       for seq in ("a", "b", "e", "t", "tcal", "a131271")},
+       for seq in ("a", "b", "d", "e", "t", "tcal", "a131271")},
 }
 
 

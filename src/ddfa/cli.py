@@ -133,10 +133,11 @@ def cmd_sequence(args) -> int:
         raise DocumentError(f"--count {args.count} is over the limit of {WORK_LIMIT} terms")
     if args.offset < 0:
         raise DocumentError(f"--offset must be >= 0, got {args.offset}")
-    text = charge_b_file_text(auto, args.form, args.count, args.offset)
-    if args.bfile:
-        _write(args.bfile, text)
-    sys.stdout.write(text)
+    with _any_int_digits():
+        text = charge_b_file_text(auto, args.form, args.count, args.offset)
+        if args.bfile:
+            _write(args.bfile, text)
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -2,8 +2,8 @@
 
 The builtin automata give rise to a small family of sequences. Running an
 automaton on base-k expansions is ``charge_sequence``; the builtin names
-used by the command line read recursions on ints or word-shape closed
-forms instead, and build no automaton:
+used by the command line read digit walks on ints, or views of one,
+instead, and build no automaton:
 
     a        final charges of the 2-state equal-split automaton, base 2
     b        numerators of a (always odd)
@@ -27,7 +27,7 @@ term function ``n -> value``, which raises ``ValueError`` off its domain.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from math import gcd, lcm
 from typing import Callable, Iterator
@@ -330,7 +330,7 @@ def _a131271_flat(i: int) -> int:
 
 
 def d_shape_closed_form(n: int) -> Fraction:
-    """Closed form for the 4-state reduced charge, by binary word shape.
+    """Closed form for the 4-state reduced charge, by binary word shape; an oracle.
 
     d(0) = 1/2; words starting 11 give 3/4; 1 followed by l zeros gives
     2^-(l+1); 1, l >= 1 zeros, then a 1 gives 1 - 2^-(l+2).
@@ -348,42 +348,49 @@ def d_shape_closed_form(n: int) -> Fraction:
     return 1 - Fraction(1, 2 ** (zeros + 2))
 
 
-@cache
-def e_sequence(n: int) -> int:
-    """Integer scaling of d(n): its reduced numerator.
+# e, the numerator of d, on ints: once the word of n has left 1 0*, e is fixed,
+# so e(2m + d) = e(m) when e(m) > 1. Otherwise n is 0 or 1 0^l (e = 1), or
+# 1 0^l 1 (e = 2^bitlen(n) - 1, which is 1 at n = 1), and the empty word's 1
+# gives e(0) = 1. The builtin d reads it, as d(n) = e / (e + 1) when e > 1 and
+# 1 / 2^max(1, bitlen n) else; ``d_shape_closed_form`` is the oracle of both.
+_e = _DigitMemo(2, 1, lambda e, n: (1 << n.bit_length()) - 1 if e == 1 and n & 1 else e)
+e_sequence = _e.__getitem__
 
-    The word shape of n fixes a power-of-two factor (2, 4, 2^(l+1) or
-    2^(l+2)) that clears the denominator of d(n) exactly. That leaves 1 for
-    n < 2 and for 1 0^l, 3 for words starting 11, and 2^(l+2) - 1 for
-    1 0^l 1 followed by anything. The shape is read off bit lengths;
-    ``d_shape_closed_form(n).numerator`` is the oracle.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n < 2:
-        return 1
-    top = n.bit_length() - 1
-    rest = n - (1 << top)  # the word of n after its leading 1, top digits long
-    if rest >> (top - 1):
-        return 3
-    if not rest:
-        return 1
-    return (1 << (top - rest.bit_length() + 2)) - 1
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3_317_044_064_679_887_385_961_981  # least strong pseudoprime to those 13 bases
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic trial division; exact at desk scale."""
+    """Deterministic Miller-Rabin: exact below psi_13, and exact for a composite above.
+
+    After a screen by the primes up to 41, bases 2, 3, 5 and 7 are exact
+    below 3,215,031,751 (Jaeschke 1993) and the 13 primes up to 41 below
+    psi_13 (Sorenson and Webster, Math. Comp. 86, 2017). A base that
+    witnesses n composite proves it at any size; a number at or above
+    psi_13 that no base witnesses is refused with a ``ValueError``, since
+    only a probabilistic test would call it prime.
+    """
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES[:4] if n < 3_215_031_751 else _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= _PSI_13:
+        raise ValueError(f"tcal needs the primality of a {n.bit_length()}-bit probable prime; "
+                         f"the test is exact only below {_PSI_13}")
     return True
 
 
@@ -406,7 +413,8 @@ _t = _DigitMemo(2, 0, lambda v, n: v ^ (n & 1))
 _BUILTIN_TERMS: dict[str, Sequence] = {
     "a": lambda n: Fraction(_b_recursion[n], 1 << max(1, n.bit_length())),
     "b": _b_recursion.__getitem__,
-    "d": d_shape_closed_form,
+    "d": lambda n: (Fraction(e, e + 1) if (e := _e[n]) > 1
+                    else Fraction(1, 1 << max(1, n.bit_length()))),
     "e": e_sequence,
     "t": _t.__getitem__,
     "tcal": _tcal.__getitem__,

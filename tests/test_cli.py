@@ -13,7 +13,7 @@ import ddfa
 from ddfa.cli import main
 from ddfa.discharge import delta_c
 from ddfa.documents import corpus_path, parse_document, serialize_document
-from ddfa.sequences import b_file_text, builtin_sequence, charge_sequence
+from ddfa.sequences import BUILTIN_SEQUENCE_NAMES, b_file_text, builtin_sequence, charge_sequence
 
 from conftest import LONG, random_ddfa, random_valuation, with_raw_json
 from regen_corpus import FR, GOLDENS, TM, TM_DFAO
@@ -176,6 +176,27 @@ class TestSequence:
                 assert run_cli(capsys, "sequence", str(doc), "--count", str(count),
                                "--offset", str(offset), "--form", "reduced") == expected
         assert exits == {0, 2}
+
+    def test_term_past_the_int_digit_limit_prints(self, capsys, tmp_path):
+        # weights 1/q and (q - 1)/q with q = 10**1000 + 1: the charge at n = 16, after
+        # five digits, has a denominator of about 5000 digits, past CPython's 4300
+        q = 10**1000 + 1
+        doc = json.loads(Path(TM).read_text(encoding="utf-8"))
+        for entry in doc["discharge"]:
+            entry["current"] = {s: f"1/{q}" for s in entry["current"]}
+            entry["notCurrent"] = {s: {t: f"{q - 1}/{q}" for t in targets}
+                                   for s, targets in entry["notCurrent"].items()}
+        path, bfile = tmp_path / "big.json", tmp_path / "big.txt"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        limit = get_limit()
+        code, out, err = run_cli(capsys, "sequence", str(path), "--offset", "16", "--count",
+                                 "1", "--bfile", str(bfile))
+        assert (code, err, get_limit()) == (0, "", limit)
+        with ddfa.cli._any_int_digits():
+            expected = f"16 {charge_sequence(parse_document(path.read_text()))(16)}\n"
+        assert out == bfile.read_text(encoding="utf-8") == expected
+        assert len(out) > 4300
 
     def test_count_limit_boundary(self, capsys, monkeypatch):
         import ddfa.cli
@@ -564,6 +585,10 @@ def json_paths(value, path=()):
 def _exit_contract(capsys, argv, context):
     """Run ``argv``: exit 0 or 1 writes no stderr, exit 2 one "error: " line."""
     code, _, err = run_cli(capsys, *argv)
+    return _check_exit_contract(code, err, context)
+
+
+def _check_exit_contract(code, err, context):
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, (context, err)
         assert "_LongLiteral" not in err
@@ -654,15 +679,27 @@ def test_seeded_defective_b_files_keep_the_exit_contract(capsys, tmp_path):
     assert codes == {0, 1, 2}
 
 
-@pytest.mark.parametrize("command", ["search", "verify"])
-def test_huge_start_index_on_a_keeps_the_exit_contract(capsys, tmp_path, command):
-    # builtin a at m = 2**1200, a parent chain far deeper than the recursion
-    # limit: the check answers, exit 0 or 1 with no stderr
+HUGE_INDEX_CASES = {  # id -> command, builtin, m and --max
+    **{f"{command}-{seq}": (command, seq, 2**1200, 2**1200 + 4)
+       for seq in BUILTIN_SEQUENCE_NAMES for command in ("search", "verify")},
+    "search-tcal-61-bit-prime": ("search", "tcal", 2**61 - 1, 2**61 + 2),
+    "search-tcal-89-bit-prime": ("search", "tcal", 2**89 - 2, 2**89 + 2),
+}
+
+
+@pytest.mark.parametrize("command,seq,m,top", HUGE_INDEX_CASES.values(), ids=HUGE_INDEX_CASES)
+def test_huge_start_index_keeps_the_exit_contract(tmp_path, command, seq, m, top):
+    # each builtin from m = 2**1200, a parent chain far deeper than the recursion
+    # limit, and tcal past a 61-bit and an 89-bit prime half-index: exit 0 or 1
+    # with no stderr, or 2 with one line, in a child whose timeout keeps a
+    # regression from hanging
     spec = tmp_path / "spec.json"
-    spec.write_text(_with_field("t_singleton_spec.json", "m", str(2**1200)), encoding="utf-8")
-    argv = {"search": ["search", "--seq", "a", "--E", "0", "--level", "1", "--m", str(2**1200)],
-            "verify": ["verify", "--seq", "a", "--spec", str(spec), "--depth", "1"]}[command]
-    _exit_contract(capsys, [*argv, "--max", str(2**1200 + 4)], command)
+    spec.write_text(_with_field("t_singleton_spec.json", "m", str(m)), encoding="utf-8")
+    argv = {"search": ["search", "--seq", seq, "--E", "0", "--level", "1", "--m", str(m)],
+            "verify": ["verify", "--seq", seq, "--spec", str(spec), "--depth", "1"]}[command]
+    result = run_module("-m", "ddfa.cli", *argv, "--max", str(top),
+                        capture_output=True, timeout=30)
+    _check_exit_contract(result.returncode, result.stderr, (command, seq, m))
 
 
 class TestWorkLimit:

@@ -53,8 +53,9 @@ E_PREFIX = [1, 1, 1, 3, 1, 7, 3, 3, 1, 15, 7, 7, 3, 3, 3, 3, 1, 31, 15]
 TCAL_PREFIX = [0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0]
 T_PREFIX = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1]
 tcal = builtin_sequence("tcal")
-# the module-level digit-walk memos behind b, tcal and t
-BUILTIN_MEMOS = (ddfa.sequences._b_recursion, ddfa.sequences._tcal, ddfa.sequences._t)
+# the module-level digit-walk memos behind b, e, tcal and t
+BUILTIN_MEMOS = (ddfa.sequences._b_recursion, ddfa.sequences._e, ddfa.sequences._tcal,
+                 ddfa.sequences._t)
 
 
 class MemoSteps(list):
@@ -300,6 +301,32 @@ class TestTcal:
         with pytest.raises(ValueError):
             tcal(-2)
 
+    def test_primality_equals_a_sieve_below_10_6(self):
+        limit = 10**6
+        sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+        for p in range(2, isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+        assert [ddfa.sequences._is_prime(n) for n in range(limit)] == list(map(bool, sieve))
+
+    @pytest.mark.parametrize("n", [
+        3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051,
+        318665857834031151167461, 2**1200 + 1])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # the least strong pseudoprimes to the first 4, 5, 6, 7, 9 and 12 prime bases
+        # (each has a factor above 41), and a composite past the exact bound
+        assert not ddfa.sequences._is_prime(n)
+
+    def test_probable_prime_past_the_exact_bound_refused(self):
+        # 2**61 - 1 is within the bound; 2**89 - 1, prime too, is not, and neither
+        # is the bound itself, a composite that all 13 bases call probably prime
+        assert ddfa.sequences._is_prime(2**61 - 1)
+        assert tcal(2 * (2**61 - 1)) == 1 - tcal(2**61 - 1)
+        for n in (2**89 - 1, 3317044064679887385961981):
+            for read in (ddfa.sequences._is_prime, lambda n: tcal(2 * n)):
+                with pytest.raises(ValueError, match=f"a {n.bit_length()}-bit probable prime"):
+                    read(n)
+
 
 class TestThueMorse:
     def test_prefix(self):
@@ -318,13 +345,19 @@ class TestThueMorse:
 
 
 class TestBuiltinsOnInts:
-    """t, e, a and b on plain ints against the word run and Fraction forms they replace."""
+    """t, e, d, a and b on plain ints against the word run and Fraction forms they replace."""
 
     HUGE = 2**1200 + 1  # a parent chain far deeper than the recursion limit
 
     def test_e_equals_closed_form_numerator_below_2_16(self):
         for n in range(2**16):
             assert e_sequence(n) == d_shape_closed_form(n).numerator
+
+    def test_d_equals_closed_form_below_2_16_and_huge(self):
+        # d reads e's memo as a reads b's; the word-shape closed form is its oracle
+        d = builtin_sequence("d")
+        for n in [*range(2**16), self.HUGE]:
+            assert d(n) == d_shape_closed_form(n)
 
     def test_b_equals_a_recursion_numerator_below_2_16(self):
         a, b = builtin_sequence("a"), builtin_sequence("b")
@@ -352,14 +385,14 @@ class TestBuiltinsOnInts:
 
     def test_huge_cold_indices(self):
         clear_builtin_memos()
-        e_sequence.cache_clear()
         assert builtin_sequence("b")(self.HUGE) == 2**1201 - 1
         assert builtin_sequence("a")(self.HUGE) == F(2**1201 - 1, 2**1201)
         assert builtin_sequence("t")(self.HUGE) == 0
         # tcal(2^j) = 0 for j >= 2, since 2 is the only prime half-index on the way
         assert builtin_sequence("tcal")(self.HUGE) == 1
         assert builtin_sequence("a131271")(self.HUGE) == 2**1199  # T(1200, 3)
-        assert e_sequence(self.HUGE) == d_shape_closed_form(self.HUGE).numerator
+        assert e_sequence(self.HUGE) == d_shape_closed_form(self.HUGE).numerator == 2**1201 - 1
+        assert self.HUGE // 2 in ddfa.sequences._e  # a cold read stores its ancestors
         word = base_k_word(self.HUGE, 2)
         for build in (build_tm_ddfa, build_fr_ddfao):
             auto = build()
@@ -378,23 +411,27 @@ class TestBuiltinsOnInts:
         def refuse(n):
             raise AssertionError(f"oracle called at {n}")
 
-        expected_e = [d_shape_closed_form(n).numerator for n in range(2**12)]
+        expected_d = [d_shape_closed_form(n) for n in range(2**12)]
         expected_b = [a_recursion(n).numerator for n in range(2**12)]
-        e_sequence.cache_clear()
-        ddfa.sequences._b_recursion.clear()
+        clear_builtin_memos()
         monkeypatch.setattr(ddfa.sequences, "d_shape_closed_form", refuse)
         monkeypatch.setattr(ddfa.sequences, "a_recursion", refuse)
-        assert [e_sequence(n) for n in range(2**12)] == expected_e
+        # d is a view of e's memo: reading d fills it, with no call to the closed form
+        assert [builtin_sequence("d")(n) for n in range(2**12)] == expected_d
+        assert sorted(ddfa.sequences._e) == list(range(2**12))
+        assert [e_sequence(n) for n in range(2**12)] == [d.numerator for d in expected_d]
         assert [builtin_sequence("b")(n) for n in range(2**12)] == expected_b
 
 
 class TestDigitMemo:
-    """One walk for b, tcal, t and the charge runs, against independent oracles."""
+    """One walk for b, e, tcal, t and the charge runs, against independent oracles."""
 
     @staticmethod
     def _read_and_oracle(name):
         if name == "b":
             return builtin_sequence("b"), lambda n: a_recursion(n).numerator
+        if name == "e":
+            return builtin_sequence("e"), lambda n: d_shape_closed_form(n).numerator
         if name == "tcal":
             return builtin_sequence("tcal"), tcal_reference
         if name == "t":
@@ -404,7 +441,7 @@ class TestDigitMemo:
         return (charge_sequence(auto),
                 lambda n: delta_c(auto, auto.start, base_k_word(n, 2)).final_charge)
 
-    @pytest.mark.parametrize("name", ["b", "tcal", "t", "tm_ddfa", "fr_ddfao"])
+    @pytest.mark.parametrize("name", ["b", "e", "tcal", "t", "tm_ddfa", "fr_ddfao"])
     def test_one_step_per_index_in_shuffled_order(self, name, memo_steps):
         # a builtin memo steps each index read; a charge memo steps only its
         # parents, 2**11 - 1 of them, and a read term is never stepped again
@@ -414,16 +451,16 @@ class TestDigitMemo:
         random.Random(0xD161).shuffle(indices)
         assert [read(n) for n in indices] == [oracle(n) for n in indices]
         assert [read(n) for n in indices[:100]] == [oracle(n) for n in indices[:100]]
-        if name in ("b", "tcal", "t"):
+        if name in ("b", "e", "tcal", "t"):
             assert sorted(memo_steps) == list(range(2**12))
         else:
             assert sorted(memo_steps) == sorted(ancestors(indices, 2)) == list(range(1, 2**11))
 
-    @pytest.mark.parametrize("name", ["b", "tcal", "t"])
+    @pytest.mark.parametrize("name", ["b", "e", "tcal", "t"])
     def test_span_equals_oracle_and_stores_nothing(self, name):
         clear_builtin_memos()
-        memo = {"b": ddfa.sequences._b_recursion, "tcal": ddfa.sequences._tcal,
-                "t": ddfa.sequences._t}[name]
+        memo = {"b": ddfa.sequences._b_recursion, "e": ddfa.sequences._e,
+                "tcal": ddfa.sequences._tcal, "t": ddfa.sequences._t}[name]
         read, oracle = self._read_and_oracle(name)
         windows = [range(0, 300), range(1, 2), range(5, 6), range(4096, 4096 + 513)]
         huge = range(2**1200, 2**1200 + 9)  # past the depth the recursive oracles reach
@@ -729,12 +766,13 @@ class TestChargeListing:
 
 
 class TestSequenceWrapper:
-    def test_builtin_e_instances_share_one_cache(self):
+    def test_builtin_e_instances_share_one_cache(self, memo_steps):
+        # both read the one module-level memo, so the second read steps nothing
         first, second = builtin_sequence("e"), builtin_sequence("e")
         value = first(777)
-        hits = e_sequence.cache_info().hits
+        memo_steps.clear()
         assert second(777) == value
-        assert e_sequence.cache_info().hits == hits + 1
+        assert memo_steps == [] and 777 in ddfa.sequences._e
 
     @pytest.mark.parametrize("make", [
         *[lambda name=name: builtin_sequence(name) for name in BUILTIN_SEQUENCE_NAMES],
