@@ -3,8 +3,8 @@
 The one ``Automaton`` type (a DFA, optionally with an output map,
 discharge rules, a mapping (state, read symbol, edge label) -> weight, and
 a valuation of its states) lives in ``automata``; rule checks, charge runs
-and their reduced forms in ``discharge``; derived number sequences and
-their closed forms in ``sequences``; menu-based relation verification,
+and their reduced forms in ``discharge``; charge sequences and the
+builtin sequences in ``sequences``; menu-based relation verification,
 search, and kernel evidence in ``regularity``; the JSON file format in
 ``documents``; and the command line in ``cli``.
 """
@@ -12,11 +12,9 @@ search, and kernel evidence in ``regularity``; the JSON file format in
 from .automata import (
     Automaton,
     ValidationReport,
-    base_k_word,
     build_tm_dfa,
     build_tm_dfao,
     delta_star,
-    dfao_output,
     parse_word,
     to_dot,
     validate_dfa,
@@ -28,7 +26,6 @@ from .discharge import (
     build_tm_ddfa,
     charge_step,
     charge_trajectory,
-    degenerate_ddfa,
     delta_c,
     equal_split_rules,
     reduce_charge,
@@ -60,15 +57,10 @@ from .regularity import (
     verify_quasi_k_regular,
 )
 from .sequences import (
-    a131271_triangle,
-    a_recursion,
     b_file_text,
     builtin_sequence,
     charge_b_file_text,
     charge_sequence,
-    d_shape_closed_form,
-    e_sequence,
-    modified_b_sequence,
     read_b_file,
 )
 

@@ -126,30 +126,6 @@ def delta_star(auto: Automaton, q: str, word: Iterable[str]) -> str:
     return q
 
 
-def dfao_output(auto: Automaton, word: Iterable[str]) -> Fraction:
-    """Run ``word`` from the start state and apply the output map to the final state."""
-    return auto.output[delta_star(auto, auto.start, word)]
-
-
-def base_k_word(n: int, k: int) -> Word:
-    """Canonical base-``k`` expansion of ``n`` as a word, most significant digit first.
-
-    No leading zeros; ``n = 0`` encodes as the single-symbol word ("0",).
-    Digit values are rendered as decimal tokens, so k > 10 works.
-    """
-    if k < 2:
-        raise ValueError(f"base must be >= 2, got {k}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return ("0",)
-    digits: list[str] = []
-    while n:
-        digits.append(str(n % k))
-        n //= k
-    return tuple(reversed(digits))
-
-
 def parse_word(alphabet: tuple[str, ...], text: str) -> Word:
     """Split user-supplied text into alphabet symbols.
 

@@ -107,7 +107,7 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     auto = parse_document(_read(args.document))
     word = parse_word(auto.alphabet, args.word)
-    if auto.rules is None:
+    if auto.rules is None and not args.trace:  # a trace is a charge run, which needs rules
         state = delta_star(auto, auto.start, word)
         print(state if auto.output is None else f"{state} {auto.output[state]}")
         return EXIT_OK

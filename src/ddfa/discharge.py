@@ -39,10 +39,6 @@ class ReducedResult:
     state: str | None
     value: Fraction
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.state is None
-
     def __str__(self) -> str:
         if self.state is None:
             return str(self.value)
@@ -146,16 +142,6 @@ def equal_split_rules(base: Automaton) -> dict[tuple[str, str, str], Fraction]:
     """Every (state, symbol) family splits evenly over the |alphabet| out-edges."""
     keys = product(base.states, base.alphabet, base.alphabet)
     return dict.fromkeys(keys, Fraction(1, len(base.alphabet)))
-
-
-def degenerate_ddfa(base: Automaton) -> Automaton:
-    """Give an automaton the degenerate rule set: weight 1 on the edge taken.
-
-    The resulting runs keep the full unit charge on the current state, so
-    they reproduce plain transition behavior exactly.
-    """
-    keys = product(base.states, base.alphabet, base.alphabet)
-    return replace(base, rules={(q, s, t): ONE if t == s else ZERO for q, s, t in keys})
 
 
 def build_tm_ddfa() -> Automaton:

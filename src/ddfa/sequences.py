@@ -1,4 +1,4 @@
-"""Number sequences read off automaton charge runs, plus their closed forms.
+"""Number sequences read off automaton charge runs, and the builtin sequences.
 
 The builtin automata give rise to a small family of sequences. Running an
 automaton on base-k expansions is ``charge_sequence``; the builtin names
@@ -27,7 +27,6 @@ term function ``n -> value``, which raises ``ValueError`` off its domain.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, islice, repeat
 from math import gcd, lcm
 from typing import Callable, Iterator
@@ -139,8 +138,8 @@ def _charge_runs(
     numerator reader keeps the first int of ``leaf``.
 
     A snapshot (state index, word length L, charges...) of the run on the
-    word of n equals ``delta_c(auto, auto.start, base_k_word(n, k))`` with
-    the charges scaled by D**L, D the lcm of the weight denominators. Each
+    base-k word w of n equals ``delta_c(auto, auto.start, w)`` with the
+    charges scaled by D**L, D the lcm of the weight denominators. Each
     index is one ``charge_step`` from its parent's snapshot. Snapshots are
     int tuples, so the store holds no Fraction and no cycle, and a racing
     write stores an equal tuple.
@@ -268,93 +267,33 @@ def charge_b_file_text(auto: Automaton, form: str, count: int, offset: int = 0) 
 
 
 # ---------------------------------------------------------------------------
-# closed forms
-
-
-@lru_cache(maxsize=None)
-def a_recursion(n: int) -> Fraction:
-    """Halving recursion matching the 2-state equal-split charge sequence.
-
-    a(0) = a(1) = 1/2; a(2m) = a(m)/2 and a(2m+1) = 1 - a(m)/2 past that.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n <= 1:
-        return Fraction(1, 2)
-    half, bit = divmod(n, 2)
-    if bit:
-        return 1 - a_recursion(half) / 2
-    return a_recursion(half) / 2
+# builtin sequences on ints
 
 
 # b(n), the numerator of a(n), on ints: a(n) = b(n) / 2^max(1, bitlen n) with
 # b(n) odd, so b(2m) = b(m) and b(2m+1) = 2^bitlen(2m+1) - b(m); the empty
 # word's 1 gives b(0) = b(1) = 1. The builtin a reads it, with no recursion at
-# any n; ``a_recursion`` is the oracle.
+# any n; the tests' ``a_recursion`` is the oracle.
 _b_recursion = _DigitMemo(2, 1, lambda b, n: (1 << n.bit_length()) - b if n & 1 else b)
-
-
-def modified_b_sequence(n: int) -> int:
-    """(b(n) + 1) / 2 for n >= 1, where b(n) is the numerator of a(n).
-
-    b(n) is always odd, so the result is an integer.
-    """
-    if n < 1:
-        raise ValueError(f"defined for n >= 1, got {n}")
-    return (_b_recursion[n] + 1) // 2
-
-
-def a131271_triangle(depth: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..depth of the doubling triangle; row n permutes {1, ..., 2^n}.
-
-    Row n interleaves row n-1 with its reflection: entry v contributes
-    v followed by 2^n + 1 - v.
-    """
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
-    rows: list[tuple[int, ...]] = [(1,)]
-    for n in range(1, depth + 1):
-        rows.append(tuple(x for v in rows[-1] for x in (v, 2**n + 1 - v)))
-    return tuple(rows)
 
 
 def _a131271_flat(i: int) -> int:
     """Entry i (0-based) of the row-by-row reading of the triangle.
 
-    Reading the rows in order gives (b(i+1) + 1) / 2; ``a131271_triangle``
-    is the oracle.
+    Reading the rows in order gives (b(i+1) + 1) / 2, b being odd; the
+    tests' ``a131271_triangle`` is the oracle.
     """
     if i < 0:
         raise ValueError(f"index must be nonnegative, got {i}")
-    return modified_b_sequence(i + 1)
-
-
-def d_shape_closed_form(n: int) -> Fraction:
-    """Closed form for the 4-state reduced charge, by binary word shape; an oracle.
-
-    d(0) = 1/2; words starting 11 give 3/4; 1 followed by l zeros gives
-    2^-(l+1); 1, l >= 1 zeros, then a 1 gives 1 - 2^-(l+2).
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return Fraction(1, 2)
-    rest = format(n, "b")[1:]
-    if rest.startswith("1"):
-        return Fraction(3, 4)
-    zeros = rest.find("1")
-    if zeros == -1:
-        return Fraction(1, 2 ** (len(rest) + 1))
-    return 1 - Fraction(1, 2 ** (zeros + 2))
+    return (_b_recursion[i + 1] + 1) // 2
 
 
 # e, the numerator of d, on ints: once the word of n has left 1 0*, e is fixed,
 # so e(2m + d) = e(m) when e(m) > 1. Otherwise n is 0 or 1 0^l (e = 1), or
 # 1 0^l 1 (e = 2^bitlen(n) - 1, which is 1 at n = 1), and the empty word's 1
 # gives e(0) = 1. The builtin d reads it, as d(n) = e / (e + 1) when e > 1 and
-# 1 / 2^max(1, bitlen n) else; ``d_shape_closed_form`` is the oracle of both.
+# 1 / 2^max(1, bitlen n) else; the tests' ``d_shape_closed_form`` is their oracle.
 _e = _DigitMemo(2, 1, lambda e, n: (1 << n.bit_length()) - 1 if e == 1 and n & 1 else e)
-e_sequence = _e.__getitem__
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -415,7 +354,7 @@ _BUILTIN_TERMS: dict[str, Sequence] = {
     "b": _b_recursion.__getitem__,
     "d": lambda n: (Fraction(e, e + 1) if (e := _e[n]) > 1
                     else Fraction(1, 1 << max(1, n.bit_length()))),
-    "e": e_sequence,
+    "e": _e.__getitem__,
     "t": _t.__getitem__,
     "tcal": _tcal.__getitem__,
     "a131271": _a131271_flat,

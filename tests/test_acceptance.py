@@ -15,7 +15,6 @@ from ddfa.discharge import (
     build_fr_ddfao,
     build_tm_ddfa,
     charge_trajectory,
-    degenerate_ddfa,
     delta_c,
     charge_step,
     reduce_charge,
@@ -23,17 +22,10 @@ from ddfa.discharge import (
 )
 from ddfa.documents import corpus_path, parse_spec_document
 from ddfa.regularity import k_kernel, search_relation_menus, verify_quasi_k_regular
-from ddfa.sequences import (
-    a131271_triangle,
-    a_recursion,
-    builtin_sequence,
-    charge_sequence,
-    d_shape_closed_form,
-    e_sequence,
-    modified_b_sequence,
-)
+from ddfa.sequences import builtin_sequence, charge_sequence
 
 from conftest import random_dfa, random_ddfa, random_word
+from oracles import a131271_triangle, a_recursion, d_shape_closed_form, degenerate_ddfa
 
 F = Fraction
 
@@ -90,9 +82,9 @@ def test_criterion_03_sequence_goldens():
         F(1, 16), F(15, 16), F(7, 16), F(9, 16), F(3, 16), F(13, 16), F(5, 16)]
     b_ok = [b(n) for n in range(25)] == [
         1, 1, 1, 3, 1, 7, 3, 5, 1, 15, 7, 9, 3, 13, 5, 11, 1, 31, 15, 17, 7, 25, 9, 23, 3]
-    mod_ok = [modified_b_sequence(n) for n in range(1, 20)] == [
+    mod_ok = [builtin_sequence("a131271")(n - 1) for n in range(1, 20)] == [
         1, 1, 2, 1, 4, 2, 3, 1, 8, 4, 5, 2, 7, 3, 6, 1, 16, 8, 9]
-    e_ok = [e_sequence(n) for n in range(19)] == [
+    e_ok = [builtin_sequence("e")(n) for n in range(19)] == [
         1, 1, 1, 3, 1, 7, 3, 3, 1, 15, 7, 7, 3, 3, 3, 3, 1, 31, 15]
     d_ok = [d_shape_closed_form(n) for n in range(17)] == [
         F(1, 2), F(1, 2), F(1, 4), F(3, 4), F(1, 8), F(7, 8), F(3, 4), F(3, 4),
@@ -124,8 +116,9 @@ def test_criterion_04_cross_oracles():
 def test_criterion_05_triangle_agreement():
     flat = [v for row in a131271_triangle(11) for v in row]
     count = 2**12 - 1
+    b = builtin_sequence("b")
     ok = len(flat) == count and all(
-        flat[i] == modified_b_sequence(i + 1) for i in range(count)
+        flat[i] == (b(i + 1) + 1) // 2 for i in range(count)
     )
     report(5, ok, f"flattened triangle rows 0..11 match (b(n)+1)/2 shifted by one "
                   f"for {count} terms")

@@ -5,11 +5,9 @@ from hypothesis import given, strategies as st
 
 from ddfa.automata import (
     Automaton,
-    base_k_word,
     build_tm_dfa,
     build_tm_dfao,
     delta_star,
-    dfao_output,
     parse_word,
     to_dot,
     validate_dfa,
@@ -17,6 +15,7 @@ from ddfa.automata import (
 from ddfa.discharge import build_fr_ddfao
 
 from conftest import random_dfa, random_word
+from oracles import base_k_word, dfao_output
 
 
 def popcount_parity(n: int) -> int:

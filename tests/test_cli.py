@@ -81,6 +81,17 @@ class TestRun:
         assert code == 0
         assert out == "q0 0\n"
 
+    @pytest.mark.parametrize("kind", ["dfa", "dfao"])
+    def test_trace_needs_a_discharging_automaton(self, capsys, tmp_path, kind):
+        # a trace is a charge run; a plain automaton has no charges to show
+        path = TM_DFAO
+        if kind == "dfa":
+            path = tmp_path / "tm_dfa.json"
+            path.write_text(serialize_document(ddfa.build_tm_dfa()), encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(path), "1010", "--trace")
+        assert (code, out) == (2, "")
+        assert err == "error: a charge run needs a discharging automaton (ddfa/ddfao)\n"
+
     def test_bad_symbol_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "run", TM, "102")
         assert code == 2

@@ -9,7 +9,6 @@ from ddfa.automata import (
     build_tm_dfa,
     build_tm_dfao,
     delta_star,
-    dfao_output,
 )
 from ddfa.discharge import (
     ReducedResult,
@@ -17,13 +16,13 @@ from ddfa.discharge import (
     build_tm_ddfa,
     charge_step,
     charge_trajectory,
-    degenerate_ddfa,
     delta_c,
     reduce_charge,
     validate_rules,
 )
 
 from conftest import random_ddfa, random_dfa, random_word
+from oracles import base_k_word, degenerate_ddfa, dfao_output
 
 F = Fraction
 
@@ -184,19 +183,19 @@ class TestChargeTrajectory:
 class TestReducedForms:
     def test_formal_pair_without_valuation(self):
         result = reduce_charge(None, *delta_c(build_fr_ddfao(), "q0", "1010"))
-        assert not result.is_numeric
+        assert result.state is not None
         assert (result.state, result.value) == ("q2", F(7, 8))
         assert str(result) == "7/8*q2"
 
     def test_all_ones_valuation_gives_numeric(self):
         valuation = {q: F(1) for q in ("q0", "q1", "q2", "q3")}
         result = reduce_charge(valuation, *delta_c(build_fr_ddfao(), "q0", "1010"))
-        assert result.is_numeric
+        assert result.state is None
         assert result.value == F(7, 8)
 
     def test_zero_valued_final_state(self):
         result = reduce_charge({"q2": F(0)}, *delta_c(build_fr_ddfao(), "q0", "1010"))
-        assert result.is_numeric
+        assert result.state is None
         assert result.value == 0
 
     def test_zero_charge_collapses_to_zero(self):
@@ -214,7 +213,7 @@ class TestReducedForms:
         assert validate_rules(auto).ok
         assert delta_c(auto, "A", "0") == ("B", 0)
         result = reduce_charge(None, *delta_c(auto, "A", "0"))
-        assert result.is_numeric and result.value == 0
+        assert result.state is None and result.value == 0
 
     def test_reduced_output_uses_output_map(self):
         fr = build_fr_ddfao()
@@ -279,8 +278,6 @@ class TestBuilders:
         assert validate_rules(build_fr_ddfao()).ok
 
     def test_builtin_denominators_are_powers_of_two(self):
-        from ddfa.automata import base_k_word
-
         for auto in (build_tm_ddfa(), build_fr_ddfao()):
             start = auto.start
             for n in range(512):

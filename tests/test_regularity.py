@@ -22,12 +22,7 @@ from ddfa.regularity import (
     validate_spec,
     verify_quasi_k_regular,
 )
-from ddfa.sequences import (
-    b_file_text,
-    builtin_sequence,
-    e_sequence,
-    read_b_file,
-)
+from ddfa.sequences import b_file_text, builtin_sequence, read_b_file
 
 
 def comb(constant, *terms):
@@ -74,12 +69,13 @@ class TestEvalCombination:
         assert combination_value(builtin_sequence("tcal"), ONE_MINUS, 2, 2) == 0  # tcal(2) = 1
 
     def test_identity(self):
+        e = builtin_sequence("e")
         for n in (0, 3, 17):
-            assert combination_value(e_sequence, S_N, n, 2) == e_sequence(n)
+            assert combination_value(e, S_N, n, 2) == e(n)
 
     def test_doubled_shifted_on_e(self):
         c = comb(1, (2, 1, 1))  # 2 s(2n+1) + 1
-        assert combination_value(e_sequence, c, 1, 2) == 7  # 2 e(3) + 1
+        assert combination_value(builtin_sequence("e"), c, 1, 2) == 7  # 2 e(3) + 1
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(-5, 5), st.lists(

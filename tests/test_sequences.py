@@ -1,5 +1,8 @@
+import importlib
+import pkgutil
 import random
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import isqrt, lcm
@@ -9,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import ddfa.cli
 import ddfa.sequences
-from ddfa.automata import base_k_word, build_tm_dfa, build_tm_dfao, dfao_output
+from ddfa.automata import build_tm_dfa, build_tm_dfao
 from ddfa.discharge import (
     build_fr_ddfao,
     build_tm_ddfa,
@@ -22,19 +25,23 @@ from ddfa.regularity import verify_quasi_k_regular
 from ddfa.sequences import (
     BUILTIN_SEQUENCE_NAMES,
     CHARGE_FORMS,
-    a131271_triangle,
-    a_recursion,
     b_file_text,
     builtin_sequence,
     charge_b_file_text,
     charge_sequence,
-    d_shape_closed_form,
-    e_sequence,
-    modified_b_sequence,
     read_b_file,
 )
 
+import oracles
 from conftest import random_ddfa, random_valuation
+from oracles import (
+    a131271_triangle,
+    a_recursion,
+    base_k_word,
+    d_shape_closed_form,
+    degenerate_ddfa,
+    dfao_output,
+)
 
 F = Fraction
 
@@ -53,6 +60,8 @@ E_PREFIX = [1, 1, 1, 3, 1, 7, 3, 3, 1, 15, 7, 7, 3, 3, 3, 3, 1, 31, 15]
 TCAL_PREFIX = [0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0]
 T_PREFIX = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1]
 tcal = builtin_sequence("tcal")
+e = builtin_sequence("e")
+a131271 = builtin_sequence("a131271")  # (b(n) + 1) / 2 at n - 1
 # the module-level digit-walk memos behind b, e, tcal and t
 BUILTIN_MEMOS = (ddfa.sequences._b_recursion, ddfa.sequences._e, ddfa.sequences._tcal,
                  ddfa.sequences._t)
@@ -147,12 +156,10 @@ class TestNumerators:
         assert all(type(b(n)) is int for n in range(25))  # no Fraction in search residuals
 
     def test_e_prefix_from_automaton(self):
-        e = charge_sequence(build_fr_ddfao(), "numerator")
-        assert [e(n) for n in range(19)] == E_PREFIX
+        sim = charge_sequence(build_fr_ddfao(), "numerator")
+        assert [sim(n) for n in range(19)] == E_PREFIX
 
     def test_numerator_of_integer_one(self):
-        from ddfa.discharge import degenerate_ddfa
-
         assert charge_sequence(degenerate_ddfa(build_tm_dfa()), "numerator")(7) == 1
 
     def test_every_b_odd_below_2_16(self):
@@ -162,20 +169,20 @@ class TestNumerators:
 
 class TestModifiedB:
     def test_prefix(self):
-        assert [modified_b_sequence(n) for n in range(1, 20)] == MODIFIED_B_PREFIX
+        assert [a131271(n - 1) for n in range(1, 20)] == MODIFIED_B_PREFIX
 
     @pytest.mark.parametrize("n,expected", [(1, 1), (5, 4)])
     def test_known_values(self, n, expected):
-        assert modified_b_sequence(n) == expected
+        assert a131271(n - 1) == expected
 
     def test_zero_not_in_domain(self):
         with pytest.raises(ValueError):
-            modified_b_sequence(0)
+            a131271(-1)
 
     def test_halves_an_odd_numerator_below_2_12(self):
         # (b + 1) // 2 is exact only because every b(n) is odd
         for n in range(1, 2**12):
-            assert 2 * modified_b_sequence(n) - 1 == a_recursion(n).numerator
+            assert 2 * a131271(n - 1) - 1 == a_recursion(n).numerator
 
 
 class TestTriangle:
@@ -200,7 +207,8 @@ class TestTriangle:
 
     def test_flatten_matches_shifted_modified_b(self):
         flat = [v for row in a131271_triangle(6) for v in row]
-        assert flat == [modified_b_sequence(i + 1) for i in range(len(flat))]
+        b = builtin_sequence("b")
+        assert flat == [(b(i + 1) + 1) // 2 for i in range(len(flat))]
 
     def test_flat_producer_matches_rows(self):
         seq = builtin_sequence("a131271")
@@ -234,22 +242,22 @@ class TestDShape:
 
 class TestESequence:
     def test_prefix(self):
-        assert [e_sequence(n) for n in range(19)] == E_PREFIX
+        assert [e(n) for n in range(19)] == E_PREFIX
 
     def test_e_five(self):
         # the 101 shape scales by 2^3: 8 * 7/8 = 7
-        assert e_sequence(5) == 7
+        assert e(5) == 7
 
     def test_powers_of_two_give_one(self):
         sim = charge_sequence(build_fr_ddfao(), "numerator")
         for m in range(13):
-            assert e_sequence(2**m) == 1
+            assert e(2**m) == 1
             assert sim(2**m) == 1
 
     def test_equals_reduced_numerator_below_2_12(self):
         sim = charge_sequence(build_fr_ddfao(), "numerator")
         for n in range(2**12):
-            assert e_sequence(n) == sim(n)
+            assert e(n) == sim(n)
 
     def test_word_shape_factor_clears_denominator_below_2_12(self):
         def shape_factor(n: int) -> int:
@@ -263,14 +271,14 @@ class TestESequence:
             return 2 ** (zeros + 1) if zeros == len(rest) else 2 ** (zeros + 2)
 
         for n in range(2**12):
-            assert shape_factor(n) * d_shape_closed_form(n) == e_sequence(n)
+            assert shape_factor(n) * d_shape_closed_form(n) == e(n)
 
 
 class TestERelationCheck:
     def test_membership_examples(self):
-        assert e_sequence(5) == 2 * e_sequence(3) + 1 == 7
-        assert e_sequence(1) == e_sequence(0) == 1
-        assert e_sequence(7) == e_sequence(3) == 3
+        assert e(5) == 2 * e(3) + 1 == 7
+        assert e(1) == e(0) == 1
+        assert e(7) == e(3) == 3
 
     def test_report_below_2_10(self):
         spec = parse_spec_document(corpus_path("e_quasi_spec.json").read_text())
@@ -282,7 +290,7 @@ class TestERelationCheck:
 
     def test_doubling_identity_holds(self):
         for n in range(65):
-            assert e_sequence(2 * n) == e_sequence(n)
+            assert e(2 * n) == e(n)
 
 
 class TestTcal:
@@ -351,7 +359,7 @@ class TestBuiltinsOnInts:
 
     def test_e_equals_closed_form_numerator_below_2_16(self):
         for n in range(2**16):
-            assert e_sequence(n) == d_shape_closed_form(n).numerator
+            assert e(n) == d_shape_closed_form(n).numerator
 
     def test_d_equals_closed_form_below_2_16_and_huge(self):
         # d reads e's memo as a reads b's; the word-shape closed form is its oracle
@@ -365,7 +373,7 @@ class TestBuiltinsOnInts:
             assert b(n) == a_recursion(n).numerator
             assert a(n) == a_recursion(n)
         for n in range(1, 2**16):
-            assert modified_b_sequence(n) == (a_recursion(n).numerator + 1) // 2
+            assert a131271(n - 1) == (a_recursion(n).numerator + 1) // 2
 
     def test_t_equals_word_run_in_shuffled_order(self):
         # the digit-parity recursion against an independent run of the parity DFAO
@@ -391,7 +399,7 @@ class TestBuiltinsOnInts:
         # tcal(2^j) = 0 for j >= 2, since 2 is the only prime half-index on the way
         assert builtin_sequence("tcal")(self.HUGE) == 1
         assert builtin_sequence("a131271")(self.HUGE) == 2**1199  # T(1200, 3)
-        assert e_sequence(self.HUGE) == d_shape_closed_form(self.HUGE).numerator == 2**1201 - 1
+        assert e(self.HUGE) == d_shape_closed_form(self.HUGE).numerator == 2**1201 - 1
         assert self.HUGE // 2 in ddfa.sequences._e  # a cold read stores its ancestors
         word = base_k_word(self.HUGE, 2)
         for build in (build_tm_ddfa, build_fr_ddfao):
@@ -407,19 +415,23 @@ class TestBuiltinsOnInts:
             bin(n).count("1") % 2 for n in range(2**12)]
         assert memo_steps == list(range(2**12))
 
-    def test_e_and_b_never_call_their_oracles(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"oracle called at {n}")
-
+    def test_builtins_reach_no_oracle(self):
+        # no ddfa module binds a name the oracles define, so no builtin can call one
+        defined = {name for name, value in vars(oracles).items()
+                   if getattr(value, "__module__", None) == oracles.__name__}
+        assert {"a_recursion", "d_shape_closed_form"} <= defined
+        for info in pkgutil.iter_modules(ddfa.__path__):
+            importlib.import_module(f"ddfa.{info.name}")
+        for name, module in list(sys.modules.items()):
+            if name == "ddfa" or name.startswith("ddfa."):
+                assert not defined & set(vars(module)), name
         expected_d = [d_shape_closed_form(n) for n in range(2**12)]
         expected_b = [a_recursion(n).numerator for n in range(2**12)]
         clear_builtin_memos()
-        monkeypatch.setattr(ddfa.sequences, "d_shape_closed_form", refuse)
-        monkeypatch.setattr(ddfa.sequences, "a_recursion", refuse)
-        # d is a view of e's memo: reading d fills it, with no call to the closed form
+        # d is a view of e's memo: reading d fills it
         assert [builtin_sequence("d")(n) for n in range(2**12)] == expected_d
         assert sorted(ddfa.sequences._e) == list(range(2**12))
-        assert [e_sequence(n) for n in range(2**12)] == [d.numerator for d in expected_d]
+        assert [e(n) for n in range(2**12)] == [d.numerator for d in expected_d]
         assert [builtin_sequence("b")(n) for n in range(2**12)] == expected_b
 
 
@@ -484,8 +496,6 @@ class TestChargeSequences:
         assert [seq(n) for n in range(17)] == D_PREFIX
 
     def test_degenerate_is_constant_one(self):
-        from ddfa.discharge import degenerate_ddfa
-
         seq = charge_sequence(degenerate_ddfa(build_tm_dfa()))
         assert [seq(n) for n in range(64)] == [F(1)] * 64
 
@@ -555,7 +565,7 @@ class TestChargeSequences:
                 word = base_k_word(n, base)
                 assert charges(n) == delta_c(auto, auto.start, word).final_charge
                 expected = reduce_charge(valuation, *delta_c(auto, auto.start, word))
-                if expected.is_numeric:
+                if expected.state is None:
                     assert reduced(n) == expected.value
                 else:
                     with pytest.raises(ValueError, match="no assigned value"):
@@ -702,7 +712,7 @@ class TestChargeListing:
                             final, after = charge_step(auto, current, vector, str(digit))
                             value = reduce_charge(
                                 None if form == "charge" else valuation, final, after[final])
-                            if form == "charge" or value.is_numeric:
+                            if form == "charge" or value.state is None:
                                 value = after[final] if form == "charge" else value.value
                                 expected = (value.numerator, value.denominator)
                             else:
@@ -724,7 +734,7 @@ class TestChargeListing:
 
         def oracle(n):  # the definition, on Fractions
             reduced = reduce_charge(valuation, *delta_c(auto, auto.start, base_k_word(n, base)))
-            if not reduced.is_numeric:
+            if reduced.state is not None:
                 raise ValueError(f"state {reduced.state} has no assigned value")
             return reduced.value
 
